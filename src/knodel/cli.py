@@ -221,10 +221,22 @@ def _adjacency_text(g: KnodelGraph) -> str:
 
 
 def load_adjacency_document(text: str) -> KnodelGraph:
-    """Parse an exported adjacency document, revalidating every edge."""
+    """Parse an exported adjacency document, revalidating every edge.
+
+    Raises ValueError on any malformed or mismatching document.
+    """
     doc = json.loads(text)
-    g = build_graph(doc["delta"], doc["n"])
-    adjacency = doc["adjacency"]
+    if not isinstance(doc, dict):
+        raise ValueError("adjacency document must be a JSON object")
+    for key in ("n", "delta", "adjacency"):
+        if key not in doc:
+            raise ValueError(f'adjacency document is missing the "{key}" key')
+    n, delta, adjacency = doc["n"], doc["delta"], doc["adjacency"]
+    if any(not isinstance(q, int) or isinstance(q, bool) for q in (n, delta)):
+        raise ValueError('"n" and "delta" must be integers')
+    if not isinstance(adjacency, dict):
+        raise ValueError('"adjacency" must be an object')
+    g = build_graph(delta, n)
     if len(adjacency) != g.n:
         raise ValueError(f"expected {g.n} adjacency entries, got {len(adjacency)}")
     for x in g.vertices():

@@ -62,20 +62,17 @@ def gamma_formula(n: int) -> GammaFormulaResult:
     """Domination number of W(4, n) by the piecewise residue formula.
 
     The addend on top of 2 * floor(n/10) is 0 for residue 0; 2 for residues
-    2 and 4; 3 for residue 6; 4 for residue 8; except that 16, 18 and 36
-    take addend 2 and 28 takes addend 3.
+    2 and 4; 3 for residue 6; 4 for residue 8.  The six exceptional orders
+    take the size of their EXCEPTIONAL_ORDERS set less 2 * floor(n/10).
     """
     _check_order(n)
     t, residue = divmod(n, 10)
     exceptional = n in EXCEPTIONAL_ORDERS
-    if residue == 0:
-        addend = 0
-    elif residue in (2, 4) or n in (16, 18, 36):
-        addend = 2
-    elif residue == 6 or n == 28:
-        addend = 3
+    if exceptional:
+        u_indices, v_indices = EXCEPTIONAL_ORDERS[n]
+        addend = len(u_indices) + len(v_indices) - 2 * t
     else:
-        addend = 4
+        addend = {0: 0, 2: 2, 4: 2, 6: 3, 8: 4}[residue]
     return GammaFormulaResult(n, t, residue, addend, 2 * t + addend, exceptional)
 
 

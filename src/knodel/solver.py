@@ -14,16 +14,27 @@ once.  Two prunes cut the tree:
   budget r must admit a split a + b = r with delta*a + b covering the
   undominated v-side count and a + delta*b the u-side count.
 
-Results are deterministic: vertices and branches are ordered by slot, so a
-repeated single-threaded run returns the identical certificate.  Parallel
-mode farms the root branches out to worker processes and combines their
-results in branch order, which reproduces the single-threaded value (the
-certificate may differ when a later branch wins under a looser bound).
+Symmetry: the index rotation i -> i+1 on both sides and the swap
+u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
+they are automorphisms and W(delta, n) is vertex-transitive for every delta.
+Any minimum dominating set can therefore be mapped onto one containing u_1,
+and the search starts with u_1 (slot 0) already chosen.
+
+Every solve runs through one root-task runner: the u_1 node is probed once
+and each of its branches becomes a root task.  With one worker the tasks run
+in process, in branch order, on a single search that carries the bound
+forward, so a repeated single-threaded run returns the identical certificate
+and node count.  Otherwise the tasks go to a process pool of at most
+min(workers, tasks, CPUs) processes and their results are combined in branch
+order under a strict improvement rule, which reproduces the single-threaded
+value (the certificate may differ when a later branch wins under a looser
+bound).
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -163,31 +174,21 @@ class _Search:
             self.run(covered | cover[slot], pool, size + 1, chosen + (slot,))
 
 
-def _solve_serial(
-    g: KnodelGraph, bound: int, seed: tuple[int, ...], deadline: float | None
+def _run_tasks(
+    job: tuple[KnodelGraph, int, tuple[int, ...], float | None, list[tuple]],
 ) -> tuple[int, tuple[int, ...], int, bool]:
-    search = _Search(g, bound, seed, deadline)
-    timed_out = False
-    try:
-        search.run(0, g.full_mask, 0, ())
-    except _Timeout:
-        timed_out = True
-    return search.bound, search.best_slots, search.nodes, timed_out
+    """Run root tasks in order on one search, carrying the bound forward.
 
-
-def _solve_branch(
-    args: tuple[int, int, int, int, int, tuple[int, ...], int, float | None],
-) -> tuple[int, tuple[int, ...] | None, int, bool]:
-    """Worker: solve one root branch; returns (bound, slots, nodes, timed_out)."""
-    delta, n, covered, pool, size, chosen, bound, deadline = args
-    g = KnodelGraph(delta, n)
-    search = _Search(g, bound, None, deadline)
-    timed_out = False
+    Returns (bound, slots, nodes, timed_out).
+    """
+    g, bound, best_slots, deadline, tasks = job
+    search = _Search(g, bound, best_slots, deadline)
     try:
-        search.run(covered, pool, size, chosen)
+        for task in tasks:
+            search.run(*task)
     except _Timeout:
-        timed_out = True
-    return search.bound, search.best_slots, search.nodes, timed_out
+        return search.bound, search.best_slots, search.nodes, True
+    return search.bound, search.best_slots, search.nodes, False
 
 
 def solve_exact(
@@ -197,8 +198,9 @@ def solve_exact(
 
     time_budget is a wall-clock limit in seconds; on expiry the result has
     value None and carries the best bounds proved so far.  workers > 1
-    distributes the root branches over that many processes; the value is
-    the same as a single-threaded run.
+    distributes the root branches over at most that many processes, never
+    more than there are root branches or CPUs; the value is the same as a
+    single-threaded run.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -206,62 +208,42 @@ def solve_exact(
     deadline = None if time_budget is None else time.monotonic() + time_budget
     degree_lower, _ = gamma_bounds(g)
     greedy = greedy_upper_bound(g)
-    greedy_slots = tuple(g.slot(x) for x in greedy)
+    best_slots = tuple(g.slot(x) for x in greedy)
     bound = len(greedy)
 
-    if workers == 1:
-        bound, best_slots, nodes, timed_out = _solve_serial(
-            g, bound, greedy_slots, deadline
-        )
+    # Vertex-transitivity lets u_1 (slot 0) start in the set; a lone u_1
+    # dominates only W(1, 2), where greedy already found the optimum.
+    cover = g.cover_masks
+    probe = _Search(g, bound, best_slots, deadline)
+    pool = g.full_mask ^ 1
+    tasks = []
+    for slot in probe.branch_slots(cover[0], pool, 1) or ():
+        pool ^= 1 << slot
+        tasks.append((cover[0] | cover[slot], pool, 2, (0, slot)))
+
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        results = [_run_tasks((g, bound, best_slots, deadline, tasks))]
     else:
-        bound, best_slots, nodes, timed_out = _solve_parallel(
-            g, bound, greedy_slots, deadline, workers
-        )
+        jobs = [(g, bound, best_slots, deadline, [task]) for task in tasks]
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            results = list(executor.map(_run_tasks, jobs))
+    # Results are combined in branch order with a strict improvement rule,
+    # which reproduces the single-threaded value.
+    nodes = probe.nodes
+    timed_out = False
+    for sub_bound, sub_slots, sub_nodes, sub_timed_out in results:
+        nodes += sub_nodes
+        timed_out = timed_out or sub_timed_out
+        if sub_bound < bound:
+            bound = sub_bound
+            best_slots = sub_slots
 
     elapsed = time.perf_counter() - start
     certificate = VertexSet(g, _slots_to_mask(best_slots))
     if timed_out:
         return SolveResult(None, degree_lower, bound, certificate, nodes, elapsed)
     return SolveResult(bound, bound, bound, certificate, nodes, elapsed)
-
-
-def _solve_parallel(
-    g: KnodelGraph,
-    bound: int,
-    greedy_slots: tuple[int, ...],
-    deadline: float | None,
-    workers: int,
-) -> tuple[int, tuple[int, ...], int, bool]:
-    probe = _Search(g, bound, greedy_slots, deadline)
-    try:
-        root = probe.branch_slots(0, g.full_mask, 0)
-    except _Timeout:
-        return bound, greedy_slots, probe.nodes, True
-    if root is None:
-        return bound, greedy_slots, probe.nodes, False
-
-    tasks = []
-    pool = g.full_mask
-    for slot in root:
-        pool ^= 1 << slot
-        tasks.append(
-            (g.delta, g.n, g.cover_masks[slot], pool, 1, (slot,), bound, deadline)
-        )
-    # Results are combined in branch order with a strict improvement rule,
-    # which reproduces the single-threaded value.
-    best_slots = greedy_slots
-    nodes = probe.nodes
-    timed_out = False
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        for sub_bound, sub_slots, sub_nodes, sub_timed_out in executor.map(
-            _solve_branch, tasks
-        ):
-            nodes += sub_nodes
-            timed_out = timed_out or sub_timed_out
-            if sub_slots is not None and sub_bound < bound:
-                bound = sub_bound
-                best_slots = sub_slots
-    return bound, best_slots, nodes, timed_out
 
 
 def _slots_to_mask(slots: tuple[int, ...]) -> int:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -251,6 +252,26 @@ def test_export_json_round_trips(capsys):
         load_adjacency_document(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        "W(4, 16)",
+        {"delta": 4, "adjacency": {}},
+        {"n": 16, "adjacency": {}},
+        {"n": 16, "delta": 4},
+        {"n": "16", "delta": 4, "adjacency": {}},
+        {"n": 16, "delta": 4.0, "adjacency": {}},
+        {"n": 16, "delta": True, "adjacency": {}},
+        {"n": 16, "delta": 4, "adjacency": ["u1"]},
+        {"n": 16, "delta": 4, "adjacency": None},
+    ],
+)
+def test_load_adjacency_document_raises_value_error_on_malformed_input(doc):
+    with pytest.raises(ValueError):
+        load_adjacency_document(json.dumps(doc))
+
+
 def test_export_other_degrees(capsys):
     code, out, _ = run(capsys, "export", "32", "--delta", "5", "--format", "edgelist")
     assert code == 0
@@ -274,6 +295,14 @@ def test_thread_env_is_validated(capsys, monkeypatch):
     code, out, _ = run(capsys, "gamma", "16")
     assert code == 0
     assert json.loads(out)["exact"] == 4
+
+
+def test_huge_thread_env_is_clamped(capsys, monkeypatch, pool_sizes):
+    monkeypatch.setenv("KNODEL_THREADS", "100000")
+    code, out, _ = run(capsys, "gamma", "38")
+    assert code == 0
+    assert json.loads(out)["exact"] == 10
+    assert all(size <= min(5, os.cpu_count() or 1) for size in pool_sizes)
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from knodel import (
@@ -5,10 +7,18 @@ from knodel import (
     build_graph,
     canonical_certificate,
     gamma_bounds,
+    gamma_formula,
     greedy_upper_bound,
     is_dominating,
     solve_exact,
 )
+from knodel.graphs import Side, Vertex, neighbors
+from knodel.solver import _Search
+
+# All 135 valid (delta, n) pairs with n <= 64.
+VALID_UP_TO_64 = [
+    (delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)
+]
 
 
 @pytest.mark.parametrize("n,value", [(16, 4), (26, 7), (36, 8), (48, 12)])
@@ -117,3 +127,58 @@ def test_canonical_certificate_not_above_default_certificate():
 def test_canonical_certificate_rejects_impossible_size():
     with pytest.raises(ValueError):
         canonical_certificate(build_graph(4, 16), 3)
+
+
+@pytest.mark.parametrize("delta,n", VALID_UP_TO_64)
+def test_rotation_and_side_swap_are_automorphisms(delta, n):
+    g = build_graph(delta, n)
+    half = g.half
+    other = {Side.U: Side.V, Side.V: Side.U}
+
+    def rotate(x):
+        return Vertex(x.side, x.index % half + 1)
+
+    def swap(x):
+        return Vertex(other[x.side], (-x.index - 1) % half + 1)
+
+    for phi in (rotate, swap):
+        assert sorted(phi(x) for x in g.vertices()) == sorted(g.vertices())
+        for x in g.vertices():
+            assert {phi(y) for y in neighbors(g, x)} == neighbors(g, phi(x))
+
+
+def test_fixing_u1_keeps_the_plain_search_value():
+    # Reference: the same branch and bound started from the empty root, with
+    # no vertex fixed, seeded with the same greedy incumbent.
+    failures = []
+    for delta, n in VALID_UP_TO_64:
+        g = build_graph(delta, n)
+        greedy = greedy_upper_bound(g)
+        plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
+        plain.run(0, g.full_mask, 0, ())
+        value = solve_exact(g).value
+        if value != plain.bound:
+            failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
+    assert not failures
+
+
+@pytest.mark.parametrize("n,nodes", [(48, 13_969), (58, 29_296)])
+def test_serial_node_counts_are_pinned(n, nodes):
+    assert solve_exact(build_graph(4, n)).nodes_explored == nodes
+
+
+@pytest.mark.parametrize("cpus,expected", [(1, []), (4, [4]), (64, [5])])
+def test_worker_count_is_clamped(pool_sizes, monkeypatch, cpus, expected):
+    # W(4, 38) has five root tasks below the u_1 node.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g = build_graph(4, 38)
+    result = solve_exact(g, workers=10**6)
+    assert pool_sizes == expected
+    assert result.value == solve_exact(g).value == 10
+
+
+@pytest.mark.parametrize("n", [40, 44])
+def test_root_closing_orders_start_no_pool(pool_sizes, n):
+    result = solve_exact(build_graph(4, n), workers=10**6)
+    assert result.value == gamma_formula(n).value
+    assert pool_sizes == []

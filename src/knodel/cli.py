@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
 from .domination import VertexSet, undominated
 from .gamma4 import ConstructionError, construct_dominating_set, gamma_formula
@@ -84,13 +85,10 @@ def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     for key in ("n", "delta", "u", "v"):
         if key not in doc:
             raise _UsageError(f'{path} is missing the "{key}" key')
-    n, delta = doc["n"], doc["delta"]
-    if not isinstance(n, int) or not isinstance(delta, int):
-        raise _UsageError('"n" and "delta" must be integers')
     u_indices = _strictly_increasing_ints(doc["u"], "u")
     v_indices = _strictly_increasing_ints(doc["v"], "v")
     try:
-        g = build_graph(delta, n)
+        g = build_graph(doc["delta"], doc["n"])
         ds = VertexSet.from_indices(g, u_indices, v_indices)
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -189,12 +187,15 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _edgelist_text(g: KnodelGraph) -> str:
-    lines = []
+def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j) of the edges u_i v_j, by i and then by offset."""
     for i in range(1, g.half + 1):
         for off in g.offsets:
-            lines.append(f"u{i} v{(i - 1 + off) % g.half + 1}")
-    return "\n".join(lines)
+            yield i, (i - 1 + off) % g.half + 1
+
+
+def _edgelist_text(g: KnodelGraph) -> str:
+    return "\n".join(f"u{i} v{j}" for i, j in _edges(g))
 
 
 def _dot_text(g: KnodelGraph) -> str:
@@ -206,9 +207,7 @@ def _dot_text(g: KnodelGraph) -> str:
         for i in range(1, g.half + 1):
             lines.append(f"    {side.value}{i};")
         lines.append("  }")
-    for i in range(1, g.half + 1):
-        for off in g.offsets:
-            lines.append(f"  u{i} -- v{(i - 1 + off) % g.half + 1};")
+    lines.extend(f"  u{i} -- v{j};" for i, j in _edges(g))
     lines.append("}")
     return "\n".join(lines)
 
@@ -231,12 +230,10 @@ def load_adjacency_document(text: str) -> KnodelGraph:
     for key in ("n", "delta", "adjacency"):
         if key not in doc:
             raise ValueError(f'adjacency document is missing the "{key}" key')
-    n, delta, adjacency = doc["n"], doc["delta"], doc["adjacency"]
-    if any(not isinstance(q, int) or isinstance(q, bool) for q in (n, delta)):
-        raise ValueError('"n" and "delta" must be integers')
+    adjacency = doc["adjacency"]
     if not isinstance(adjacency, dict):
         raise ValueError('"adjacency" must be an object')
-    g = build_graph(delta, n)
+    g = build_graph(doc["delta"], doc["n"])
     if len(adjacency) != g.n:
         raise ValueError(f"expected {g.n} adjacency entries, got {len(adjacency)}")
     for x in g.vertices():

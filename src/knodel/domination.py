@@ -1,10 +1,9 @@
 """Dominating-set machinery: immutable vertex sets, the verifier, and bounds.
 
 A set D dominates W(delta, n) when every vertex is in D or adjacent to a
-member of D.  Vertex sets are stored as bitmasks over graph slots, so the
-verifier is a constant number of big-integer operations; it is the single
-source of truth that every construction and solver certificate in this
-package is checked against.
+member of D.  Vertex sets are bitmasks over graph slots, and the verifier is
+2 * delta cyclic shifts of their two halves (KnodelGraph.closed_cover), linear
+in n; it is the single source of truth for every construction and certificate.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graphs import KnodelGraph, Side, Vertex
+from .graphs import KnodelGraph, Vertex
 
 __all__ = [
     "VertexSet",
@@ -22,6 +21,19 @@ __all__ = [
     "gamma_bounds",
     "greedy_upper_bound",
 ]
+
+
+def _positions(mask: int) -> list[int]:
+    """Ascending 0-based positions of the set bits of mask, in O(bits)."""
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def _slots_mask(n: int, slots: Iterable[int]) -> int:
+    """Bitmask over n slots with the given slots set, in O(n + len(slots))."""
+    buf = bytearray((n + 7) // 8)
+    for slot in slots:
+        buf[slot >> 3] |= 1 << (slot & 7)
+    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)
@@ -46,10 +58,7 @@ class VertexSet:
     @classmethod
     def of(cls, graph: KnodelGraph, vertices: Iterable[Vertex]) -> "VertexSet":
         """Set containing the given vertices, each validated against graph."""
-        mask = 0
-        for x in vertices:
-            mask |= 1 << graph.slot(x)
-        return cls(graph, mask)
+        return cls(graph, _slots_mask(graph.n, map(graph.slot, vertices)))
 
     @classmethod
     def from_indices(
@@ -59,11 +68,13 @@ class VertexSet:
         v_indices: Iterable[int] = (),
     ) -> "VertexSet":
         """Set {u_i : i in u_indices} | {v_j : j in v_indices}."""
-        return cls.of(
-            graph,
-            [Vertex(Side.U, i) for i in u_indices]
-            + [Vertex(Side.V, j) for j in v_indices],
-        )
+        half = graph.half
+        us, vs = list(u_indices), list(v_indices)
+        for i in us + vs:
+            if not 1 <= i <= half:
+                raise ValueError(f"vertex index {i} out of range [1, {half}]")
+        slots = [i - 1 for i in us] + [half + j - 1 for j in vs]
+        return cls(graph, _slots_mask(graph.n, slots))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -73,11 +84,7 @@ class VertexSet:
 
     def __iter__(self) -> Iterator[Vertex]:
         """Members in slot order: u-side ascending, then v-side ascending."""
-        m = self.mask
-        while m:
-            low = m & -m
-            yield self.graph.vertex_at(low.bit_length() - 1)
-            m ^= low
+        return map(self.graph.vertex_at, _positions(self.mask))
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
         self._check_same_graph(other)
@@ -95,9 +102,6 @@ class VertexSet:
         if self.graph != other.graph:
             raise ValueError("vertex sets belong to different graphs")
 
-    def with_vertex(self, x: Vertex) -> "VertexSet":
-        return VertexSet(self.graph, self.mask | 1 << self.graph.slot(x))
-
     def issubset(self, other: "VertexSet") -> bool:
         self._check_same_graph(other)
         return self.mask & ~other.mask == 0
@@ -105,12 +109,12 @@ class VertexSet:
     @property
     def u_indices(self) -> tuple[int, ...]:
         """Sorted u-side indices of the members."""
-        return tuple(x.index for x in self if x.side is Side.U)
+        return tuple(i + 1 for i in _positions(self.mask & self.graph.u_mask))
 
     @property
     def v_indices(self) -> tuple[int, ...]:
         """Sorted v-side indices of the members."""
-        return tuple(x.index for x in self if x.side is Side.V)
+        return tuple(j + 1 for j in _positions(self.mask >> self.graph.half))
 
 
 def _check_bound(g: KnodelGraph, s: VertexSet) -> None:
@@ -121,14 +125,7 @@ def _check_bound(g: KnodelGraph, s: VertexSet) -> None:
 def closed_neighborhood(g: KnodelGraph, s: VertexSet) -> VertexSet:
     """Union of s with every neighbourhood of a member of s."""
     _check_bound(g, s)
-    cover = g.cover_masks
-    out = 0
-    m = s.mask
-    while m:
-        low = m & -m
-        out |= cover[low.bit_length() - 1]
-        m ^= low
-    return VertexSet(g, out)
+    return VertexSet(g, g.closed_cover(s.mask))
 
 
 def is_dominating(g: KnodelGraph, s: VertexSet) -> bool:
@@ -138,7 +135,6 @@ def is_dominating(g: KnodelGraph, s: VertexSet) -> bool:
 
 def undominated(g: KnodelGraph, s: VertexSet) -> VertexSet:
     """All vertices left uncovered by s; empty exactly when s dominates."""
-    _check_bound(g, s)
     return VertexSet(g, g.full_mask & ~closed_neighborhood(g, s).mask)
 
 

@@ -11,6 +11,11 @@ no edge container is ever materialised, so graphs of any order are O(1) to
 build.  Internally each vertex also has a *slot*, a 0-based position in the
 fixed order u_1..u_{n/2}, v_1..v_{n/2}, which the domination and solver
 modules use to index bitmasks.
+
+The rule depends only on j - i, so W(delta, n) is bi-circulant and
+KnodelGraph.closed_cover, the only mask form of the rule, covers a whole set
+with delta cyclic shifts per half, in time linear in n.  The verifier calls
+it directly and builds no per-vertex table.
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ class KnodelGraph:
     n: int
 
     def __post_init__(self) -> None:
+        for name, value in (("order", self.n), ("degree", self.delta)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"order must be a positive even integer, got {self.n}")
         if self.delta < 1:
@@ -116,22 +124,26 @@ class KnodelGraph:
     def v_mask(self) -> int:
         return self.full_mask ^ self.u_mask
 
+    def closed_cover(self, mask: int) -> int:
+        """Closed neighbourhood of a slot bitmask, as a slot bitmask.
+
+        The V half is S_V plus S_U rotated up by each offset, the U half S_U
+        plus S_V rotated down; offsets are below n/2, so one shift pair rotates.
+        """
+        half = self.half
+        u_mask = self.u_mask
+        su = mask & u_mask
+        sv = mask >> half
+        cu, cv = su, sv
+        for off in self.offsets:
+            cv |= (su << off | su >> (half - off)) & u_mask
+            cu |= (sv >> off | sv << (half - off)) & u_mask
+        return cu | cv << half
+
     @cached_property
     def cover_masks(self) -> tuple[int, ...]:
         """Closed-neighbourhood bitmask for every slot, in slot order."""
-        half = self.half
-        masks = []
-        for i in range(half):
-            m = 1 << i
-            for off in self.offsets:
-                m |= 1 << (half + (i + off) % half)
-            masks.append(m)
-        for j in range(half):
-            m = 1 << (half + j)
-            for off in self.offsets:
-                m |= 1 << ((j - off) % half)
-            masks.append(m)
-        return tuple(masks)
+        return tuple(self.closed_cover(1 << s) for s in range(self.n))
 
 
 def build_graph(delta: int, n: int) -> KnodelGraph:

@@ -39,7 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .domination import VertexSet, gamma_bounds, greedy_upper_bound
+from .domination import VertexSet, _slots_mask, gamma_bounds, greedy_upper_bound
 from .graphs import KnodelGraph
 
 __all__ = ["SolveResult", "solve_exact", "brute_force_min", "canonical_certificate"]
@@ -240,17 +240,10 @@ def solve_exact(
             best_slots = sub_slots
 
     elapsed = time.perf_counter() - start
-    certificate = VertexSet(g, _slots_to_mask(best_slots))
+    certificate = VertexSet(g, _slots_mask(g.n, best_slots))
     if timed_out:
         return SolveResult(None, degree_lower, bound, certificate, nodes, elapsed)
     return SolveResult(bound, bound, bound, certificate, nodes, elapsed)
-
-
-def _slots_to_mask(slots: tuple[int, ...]) -> int:
-    mask = 0
-    for slot in slots:
-        mask |= 1 << slot
-    return mask
 
 
 def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
@@ -274,7 +267,7 @@ def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
                 covered |= cover[slot]
             if covered == full:
                 elapsed = time.perf_counter() - start
-                certificate = VertexSet(g, _slots_to_mask(combo))
+                certificate = VertexSet(g, _slots_mask(g.n, combo))
                 return SolveResult(size, size, size, certificate, checked, elapsed)
     return None
 
@@ -301,7 +294,7 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
                 break
         else:
             raise ValueError(f"no dominating set of size {size} exists in {g}")
-    return VertexSet(g, _slots_to_mask(chosen))
+    return VertexSet(g, _slots_mask(g.n, chosen))
 
 
 def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:

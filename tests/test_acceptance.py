@@ -99,10 +99,10 @@ def test_criterion_3_brute_force_agrees_on_16_to_24():
     report(3, "brute-force oracle agrees with the solver on [16, 24]", failures)
 
 
-def test_criterion_4_constructions_verify_on_16_to_200():
+def test_criterion_4_constructions_verify_on_16_to_200_and_near_one_million():
     started = time.perf_counter()
     failures = []
-    for n in range(16, 201, 2):
+    for n in [*range(16, 201, 2), *range(10**6, 10**6 + 9, 2)]:
         expected = gamma_formula(n).value
         try:
             ds = construct_dominating_set(n)
@@ -116,7 +116,11 @@ def test_criterion_4_constructions_verify_on_16_to_200():
     elapsed = time.perf_counter() - started
     if elapsed >= 10:
         failures.append(f"audit took {elapsed:.1f}s, budget is 10s")
-    report(4, "constructions are optimal dominating sets on [16, 200]", failures)
+    report(
+        4,
+        "constructions are optimal dominating sets on [16, 200] and [10**6, 10**6 + 8]",
+        failures,
+    )
 
 
 def test_criterion_5_common_neighbor_predicate_is_exhaustive():

@@ -118,6 +118,7 @@ def test_verify_empty_set_lists_every_vertex(capsys, tmp_path):
         '{"n": 16, "delta": 4, "v": []}',
         '{"n": 15, "delta": 4, "u": [], "v": []}',
         '{"n": "16", "delta": 4, "u": [], "v": []}',
+        '{"n": 16, "delta": true, "u": [1, 2, 3, 4, 5, 6, 7, 8], "v": []}',
         "[1, 2]",
         "not json",
     ],

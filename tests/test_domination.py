@@ -60,6 +60,19 @@ def test_vertex_set_operations_require_matching_graphs():
     assert a.issubset(a | same)
 
 
+@given(small_graphs(), st.data())
+def test_from_indices_inverts_u_and_v_indices(g, data):
+    s = data.draw(subsets_of(g))
+    assert VertexSet.from_indices(g, s.u_indices, s.v_indices) == s
+
+
+def test_verifier_builds_no_cover_table():
+    g = build_graph(4, 26)
+    assert is_dominating(g, VertexSet.from_indices(g, (1, 4, 9, 10), (1, 2, 6)))
+    assert len(undominated(g, VertexSet.empty(g))) == 26
+    assert "cover_masks" not in vars(g)
+
+
 def test_closed_neighborhood_known_values():
     g = build_graph(4, 20)
     s = VertexSet.of(g, [u(1)])

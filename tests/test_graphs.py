@@ -38,7 +38,11 @@ def test_build_graph_accepts_valid_parameters(delta, n):
 
 
 @pytest.mark.parametrize(
-    "delta,n", [(4, 15), (4, 14), (0, 16), (4, 0), (5, 16), (6, 32), (3, -8), (2, 3)]
+    "delta,n",
+    [
+        (4, 15), (4, 14), (0, 16), (4, 0), (5, 16), (6, 32), (3, -8), (2, 3),
+        (True, 16), (4, 16.0),
+    ],
 )
 def test_build_graph_rejects_invalid_parameters(delta, n):
     with pytest.raises(ValueError):
@@ -69,6 +73,29 @@ def test_adjacency_is_regular_bipartite_and_symmetric_up_to_64():
                 assert len(ns) == delta
                 assert all(y.side is not x.side for y in ns)
                 assert all(x in neighbors(g, y) for y in ns)
+
+
+def _closed_mask(g, x):
+    """Slot bitmask of {x} | neighbors(g, x), built element by element."""
+    return sum(1 << g.slot(y) for y in neighbors(g, x) | {x})
+
+
+def test_closed_cover_of_each_slot_is_its_closed_neighborhood_up_to_64():
+    for n in range(2, 65, 2):
+        for delta in range(1, int(math.log2(n)) + 1):
+            g = build_graph(delta, n)
+            for x in g.vertices():
+                assert g.closed_cover(1 << g.slot(x)) == _closed_mask(g, x)
+
+
+@given(small_graphs(), st.data())
+def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
+    mask = data.draw(st.integers(0, g.full_mask))
+    expected = 0
+    for x in g.vertices():
+        if mask >> g.slot(x) & 1:
+            expected |= _closed_mask(g, x)
+    assert g.closed_cover(mask) == expected
 
 
 def test_original_label_round_trip():

@@ -148,20 +148,24 @@ def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
     """Dominating set built by repeatedly taking a vertex of maximum new cover.
 
     Ties are broken by lowest slot, i.e. side U before side V and then by
-    ascending index, which makes the result deterministic.
+    ascending index, which makes the result deterministic.  Each slot's gain,
+    the number of uncovered vertices in its closed neighbourhood, is kept in
+    a list and lowered as vertices become covered, so memory is linear in n.
     """
-    cover = g.cover_masks
-    full = g.full_mask
-    chosen = 0
-    covered = 0
-    while covered != full:
-        best_slot = -1
-        best_gain = 0
-        for slot in range(g.n):
-            gain = (cover[slot] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_slot = slot
-        chosen |= 1 << best_slot
-        covered |= cover[best_slot]
-    return VertexSet(g, chosen)
+    half, offsets = g.half, g.offsets
+    closed = [{i, *(half + (i + off) % half for off in offsets)} for i in range(half)]
+    closed += [{half + j, *((j - off) % half for off in offsets)} for j in range(half)]
+    gain = [len(c) for c in closed]
+    covered = bytearray(g.n)
+    uncovered = g.n
+    chosen = []
+    while uncovered:
+        best = gain.index(max(gain))
+        chosen.append(best)
+        for x in closed[best]:
+            if not covered[x]:
+                covered[x] = 1
+                uncovered -= 1
+                for y in closed[x]:
+                    gain[y] -= 1
+    return VertexSet(g, _slots_mask(g.n, chosen))

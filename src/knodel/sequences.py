@@ -11,19 +11,25 @@ enumeration filters:
   of chosen vertices at a distance forcing a common neighbour);
 * how many adjacent cyclic gap pairs have their sum in m_delta (a second,
   longer-range way to force a common neighbour).
+
+enumerate_sequences generates least rotations only, depth first in
+lexicographic order: the first gap g0 is a minimum gap, so g0 <= total // k
+and every later gap is at least g0.  A prefix is dropped once its gaps or
+adjacent sums in m_delta pass their limits, or its gaps in m_delta can no
+longer reach the exact count; a rotation check on each full sequence settles
+ties with g0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate, combinations
 
 from .graphs import (
     CyclicSequence,
     KnodelGraph,
     Side,
     Vertex,
-    build_graph,
     common_neighbor_predicate,
     m_delta,
 )
@@ -83,30 +89,6 @@ def colliding_pairs(g: KnodelGraph, s: frozenset[Vertex]) -> int:
     return count
 
 
-def _compositions(k: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of positive integers summing to total, lexicographically."""
-
-    def rec(prefix: tuple[int, ...], remaining: int, parts_left: int):
-        if parts_left == 1:
-            yield prefix + (remaining,)
-            return
-        for first in range(1, remaining - parts_left + 2):
-            yield from rec(prefix + (first,), remaining - first, parts_left - 1)
-
-    if k >= 1 and total >= k:
-        yield from rec((), total, k)
-
-
-def _adjacent_sums(gaps: tuple[int, ...]) -> tuple[int, ...]:
-    """Sums of cyclically adjacent gap pairs; each unordered pair once."""
-    k = len(gaps)
-    if k == 1:
-        return ()
-    if k == 2:
-        return (gaps[0] + gaps[1],)
-    return tuple(gaps[i] + gaps[(i + 1) % k] for i in range(k))
-
-
 def enumerate_sequences(
     k: int,
     total: int,
@@ -128,23 +110,36 @@ def enumerate_sequences(
     if parts_in_m_exact < 0 or adjacent_sums_in_m_max < 0:
         raise ValueError("filter counts must be non-negative")
     m = m_delta(delta)
-    n = 2 * total
-    graph = build_graph(delta, n) if n >= 2**delta else None
-
+    # collide[d]: vertices d apart share a neighbour (common_neighbor_predicate).
+    exists = 2 * total >= 2**delta
+    collide = [d in m or total - d in m for d in range(total)] if exists else None
     classes = []
-    for gaps in _compositions(k, total):
-        if any(gaps[i:] + gaps[:i] < gaps for i in range(1, k)):
+    # Depth first over (prefix, remaining, gaps in m, adjacent sums in m);
+    # children are pushed in descending order, so full sequences come off the
+    # stack in lexicographic order.  A recursive nested function would be a
+    # reference cycle that keeps each call's classes alive until a full gc.
+    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), total, 0, 0)]
+    while stack:
+        t, remaining, in_m, sums_in_m = stack.pop()
+        left = k - len(t)
+        if left:
+            g0, prev = (t[0], t[-1]) if t else (1, 0)
+            hi = remaining - (left - 1) * g0 if t else total // k
+            for gap in range(hi, (remaining if left == 1 else g0) - 1, -1):
+                count = in_m + (gap in m)
+                if count > parts_in_m_exact or count + left - 1 < parts_in_m_exact:
+                    continue
+                sums = sums_in_m + (prev > 0 and prev + gap in m)
+                if sums <= adjacent_sums_in_m_max:
+                    stack.append((t + (gap,), remaining - gap, count, sums))
             continue
-        in_m = sum(1 for gap in gaps if gap in m)
-        if in_m != parts_in_m_exact:
+        sums_in_m += k > 2 and t[-1] + t[0] in m
+        rotated = any(t[i] == t[0] and t[i:] + t[:i] < t for i in range(1, k))
+        if rotated or sums_in_m > adjacent_sums_in_m_max:
             continue
-        sums_in_m = sum(1 for q in _adjacent_sums(gaps) if q in m)
-        if sums_in_m > adjacent_sums_in_m_max:
-            continue
-        seq = CyclicSequence(gaps, total)
         collisions = None
-        if graph is not None:
-            collisions = colliding_pairs(graph, reconstruct_positions(seq))
-        classes.append(SequenceClass(seq, in_m, sums_in_m, collisions))
-    classes.sort(key=lambda c: c.canonical.gaps)
+        if collide is not None:
+            positions = list(accumulate(t[:-1], initial=0))
+            collisions = sum(collide[b - a] for a, b in combinations(positions, 2))
+        classes.append(SequenceClass(CyclicSequence(t, total), in_m, sums_in_m, collisions))
     return classes

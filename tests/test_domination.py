@@ -152,3 +152,26 @@ def test_greedy_result_dominates_within_bounds(n):
 def test_greedy_is_deterministic():
     g = build_graph(4, 38)
     assert greedy_upper_bound(g) == greedy_upper_bound(g)
+
+
+def full_rescan_greedy(g):
+    # Reference: rescan every slot's cover mask for each pick.
+    cover = g.cover_masks
+    chosen = covered = 0
+    while covered != g.full_mask:
+        best_slot, best_gain = -1, 0
+        for slot in range(g.n):
+            gain = (cover[slot] & ~covered).bit_count()
+            if gain > best_gain:
+                best_slot, best_gain = slot, gain
+        chosen |= 1 << best_slot
+        covered |= cover[best_slot]
+    return chosen
+
+
+def test_greedy_matches_full_rescan_without_cover_table():
+    for delta in range(1, 8):
+        for n in range(max(2, 2**delta), 129, 2):
+            g = build_graph(delta, n)
+            assert greedy_upper_bound(g).mask == full_rescan_greedy(build_graph(delta, n))
+            assert "cover_masks" not in vars(g)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from knodel import (
     CyclicSequence,
+    SequenceClass,
     build_graph,
     canonical_rotation,
     colliding_pairs,
@@ -136,6 +137,50 @@ def test_enumerate_matches_independent_filter():
             expected.add(gaps)
         got = {c.canonical.gaps for c in enumerate_sequences(k, total, exact, adj_max)}
         assert got == expected
+
+
+def brute_force_census(delta, k, total):
+    # Every composition of total into k parts (cut points chosen with
+    # itertools), kept when it is its own least rotation, with its statistics.
+    m = m_delta(delta)
+    graph = build_graph(delta, 2 * total) if 2 * total >= 2**delta else None
+    out = []
+    for cuts in itertools.combinations(range(1, total), k - 1):
+        bounds = (0, *cuts, total)
+        gaps = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        if min(rotations(gaps)) != gaps:
+            continue
+        if k == 1:
+            sums = []
+        elif k == 2:
+            sums = [gaps[0] + gaps[1]]
+        else:
+            sums = [gaps[i] + gaps[(i + 1) % k] for i in range(k)]
+        seq = CyclicSequence(gaps, total)
+        collisions = None
+        if graph is not None:
+            collisions = colliding_pairs(graph, reconstruct_positions(seq))
+        in_m = sum(1 for q in gaps if q in m)
+        out.append(SequenceClass(seq, in_m, sum(1 for q in sums if q in m), collisions))
+    return out
+
+
+def test_enumerate_matches_brute_force_census():
+    # Whole SequenceClass lists, in order, for every exact count and adjacent
+    # maximum in 0..k; delta 5 never has a graph here (2 * 14 < 32).
+    for delta in (3, 4, 5):
+        for k in range(1, 6):
+            for total in range(k, 15):
+                census = brute_force_census(delta, k, total)
+                for exact in range(k + 1):
+                    for adj in range(k + 1):
+                        expected = [
+                            c
+                            for c in census
+                            if c.parts_in_m == exact and c.adjacent_sums_in_m <= adj
+                        ]
+                        got = enumerate_sequences(k, total, exact, adj, delta)
+                        assert got == expected, (delta, k, total, exact, adj)
 
 
 def test_enumerate_classes_are_rotation_distinct_and_sorted():

@@ -151,16 +151,31 @@ def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
     ascending index, which makes the result deterministic.  Each slot's gain,
     the number of uncovered vertices in its closed neighbourhood, is kept in
     a list and lowered as vertices become covered, so memory is linear in n.
+    Slots are grouped by gain, which lies in 0..delta+1, so each pick takes
+    the lowest slot of the highest non-empty group.
     """
     half, offsets = g.half, g.offsets
-    closed = [{i, *(half + (i + off) % half for off in offsets)} for i in range(half)]
-    closed += [{half + j, *((j - off) % half for off in offsets)} for j in range(half)]
-    gain = [len(c) for c in closed]
+    # Offsets are distinct and below n/2, so each closed neighbourhood lists
+    # delta + 1 distinct slots and every slot starts at gain delta + 1.  Gains
+    # only fall, so the group of the highest gain top is listed once, in slot
+    # order, when top is reached; members whose gain has since fallen are
+    # skipped.
+    closed = [(i, *(half + (i + off) % half for off in offsets)) for i in range(half)]
+    closed += [(half + j, *((j - off) % half for off in offsets)) for j in range(half)]
+    top = g.delta + 1
+    gain = [top] * g.n
+    group, at = list(range(g.n)), 0
     covered = bytearray(g.n)
     uncovered = g.n
     chosen = []
     while uncovered:
-        best = gain.index(max(gain))
+        while at < len(group) and gain[group[at]] != top:
+            at += 1
+        if at == len(group):
+            top -= 1
+            group, at = [s for s in range(g.n) if gain[s] == top], 0
+            continue
+        best = group[at]
         chosen.append(best)
         for x in closed[best]:
             if not covered[x]:

@@ -12,17 +12,19 @@ build.  Internally each vertex also has a *slot*, a 0-based position in the
 fixed order u_1..u_{n/2}, v_1..v_{n/2}, which the domination and solver
 modules use to index bitmasks.
 
-The rule depends only on j - i, so W(delta, n) is bi-circulant and
-KnodelGraph.closed_cover, the only mask form of the rule, covers a whole set
-with delta cyclic shifts per half, in time linear in n.  The verifier calls
-it directly and builds no per-vertex table.
+The rule depends only on j - i, so W(delta, n) is bi-circulant:
+KnodelGraph.cover_terms, the only mask form of the rule, yields a set and
+its delta cyclic shifts per half, in time linear in n.  closed_cover ORs
+them for the verifier, which builds no per-vertex table; the solver adds
+them up into neighbour counts.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -125,20 +127,26 @@ class KnodelGraph:
         return self.full_mask ^ self.u_mask
 
     def closed_cover(self, mask: int) -> int:
-        """Closed neighbourhood of a slot bitmask, as a slot bitmask.
+        """Closed neighbourhood of a slot bitmask, as a slot bitmask."""
+        return reduce(or_, self.cover_terms(mask))
 
-        The V half is S_V plus S_U rotated up by each offset, the U half S_U
-        plus S_V rotated down; offsets are below n/2, so one shift pair rotates.
+    def cover_terms(self, mask: int) -> Iterator[int]:
+        """mask, then mask rotated by each offset: delta + 1 slot bitmasks.
+
+        A rotation maps S_V down by the offset onto the U half and S_U up onto
+        the V half; each half is written out twice, so a rotation is one
+        shift.  Offsets are distinct and below n/2, so vertex x lies in
+        exactly |N[x] & mask| of the terms and their union is N[mask].
         """
         half = self.half
         u_mask = self.u_mask
         su = mask & u_mask
         sv = mask >> half
-        cu, cv = su, sv
+        su2 = su << half | su
+        sv2 = sv << half | sv
+        yield mask
         for off in self.offsets:
-            cv |= (su << off | su >> (half - off)) & u_mask
-            cu |= (sv >> off | sv << (half - off)) & u_mask
-        return cu | cv << half
+            yield sv2 >> off & u_mask | (su2 >> (half - off) & u_mask) << half
 
     @cached_property
     def cover_masks(self) -> tuple[int, ...]:

@@ -4,11 +4,15 @@ The search works on slot bitmasks.  Each node picks an undominated vertex x
 whose closed neighbourhood meets the fewest remaining candidates and branches
 on every candidate that could cover x; candidates consumed by earlier
 siblings are dropped from later ones, so each dominating set is enumerated
-once.  Two prunes cut the tree:
+once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
+summed at a search root from KnodelGraph.cover_terms and lowered by a borrow
+chain as slots leave the pool, so the pivot is read without a scan.  Two
+prunes cut the tree:
 
 * counting: a vertex covers at most delta + 1 vertices, so a partial set of
   size s with m undominated vertices needs at least ceil(m / (delta + 1))
-  further picks;
+  further picks; children come in descending new cover, so the parent
+  counts the first child this closes, and all later ones, without a call;
 * bipartite counting: a u-side pick covers at most delta undominated v-side
   vertices and one u-side vertex (and symmetrically), so the remaining
   budget r must admit a split a + b = r with delta*a + b covering the
@@ -74,6 +78,32 @@ class _FoundAny(Exception):
     pass
 
 
+def _count_planes(g: KnodelGraph, pool: int) -> list[int]:
+    """Bit x of planes[i] is bit i of |N[x] & pool|: the sum of the cover terms."""
+    planes = [0] * (g.delta + 1).bit_length()
+    for carry in g.cover_terms(pool):
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+    return planes
+
+
+def _pivot(und: int, planes: list[int]) -> int:
+    """Bit of the lowest undominated slot with at most one candidate, else
+    of the lowest one with the fewest; 0 when that slot has no candidate."""
+    high = 0
+    for plane in planes[1:]:
+        high |= plane
+    low = und & ~high
+    if low:
+        return low & -low & planes[0]
+    low = und
+    for plane in reversed(planes):
+        if low & ~plane:
+            low &= ~plane
+    return low & -low
+
+
 class _Search:
     """Branch-and-bound state over one graph's cover masks."""
 
@@ -88,76 +118,58 @@ class _Search:
         self.cover = g.cover_masks
         self.full = g.full_mask
         self.u_mask = g.u_mask
-        self.v_mask = g.v_mask
         self.delta = g.delta
+        self.dd = g.delta + 1
         self.bound = bound
         self.best_slots = best_slots
         self.deadline = deadline
         self.stop_on_first = stop_on_first
         self.nodes = 0
+        self.next_check = 1024  # a threshold: closed children count in batches
 
-    def branch_slots(self, covered: int, pool: int, size: int) -> list[int] | None:
-        """Candidate slots for the next pick, or None if this node is closed.
-
-        Closed means pruned or already dominated.  Candidates all cover the
-        chosen pivot and are ordered by descending new cover, ties to the
-        lower slot.
-        """
+    def branch_slots(self, covered: int, pool: int, planes: list[int], size: int):
+        """Undominated count and (new cover, -slot) candidates covering the
+        pivot, descending, ties to the lower slot; None if closed (pruned or
+        already dominated)."""
         self.nodes += 1
-        if self.deadline is not None and self.nodes & 1023 == 0:
+        if self.nodes >= self.next_check and self.deadline is not None:
+            self.next_check = self.nodes + 1024
             if time.monotonic() > self.deadline:
                 raise _Timeout
         und = self.full & ~covered
-        if und == 0:
-            return None
         budget = self.bound - 1 - size
         if budget <= 0:
             return None
-        dd = self.delta + 1
         m = und.bit_count()
-        if size + (m + dd - 1) // dd >= self.bound:
+        if size - (-m // self.dd) >= self.bound:
             return None
         uu = (und & self.u_mask).bit_count()
-        uv = (und & self.v_mask).bit_count()
+        uv = m - uu
         d1 = self.delta - 1
         if d1 > 0:
-            lo = 0 if uv <= budget else -(-(uv - budget) // d1)
-            hi_num = self.delta * budget - uu
-            if hi_num < 0:
-                return None
-            hi = min(budget, hi_num // d1)
-            if lo > hi:
+            hi = min(budget, (self.delta * budget - uu) // d1)
+            if hi < 0 or -(-(uv - budget) // d1) > hi:
                 return None
         elif uu > budget or uv > budget:
             return None
 
-        cover = self.cover
-        pivot = -1
-        best_count = 1 << 62
-        t = und
-        while t:
-            low = t & -t
-            slot = low.bit_length() - 1
-            c = (cover[slot] & pool).bit_count()
-            if c < best_count:
-                best_count = c
-                pivot = slot
-                if c <= 1:
-                    break
-            t ^= low
-        if best_count == 0:
+        low = _pivot(und, planes)
+        if not low:
             return None
+        cover = self.cover
         members = []
-        pm = cover[pivot] & pool
+        pm = cover[low.bit_length() - 1] & pool
         while pm:
             low = pm & -pm
             slot = low.bit_length() - 1
             members.append(((cover[slot] & und).bit_count(), -slot))
             pm ^= low
         members.sort(reverse=True)
-        return [-neg for _, neg in members]
+        return m, members
 
-    def run(self, covered: int, pool: int, size: int, chosen: tuple[int, ...]) -> None:
+    def run(
+        self, covered: int, pool: int, planes: list[int], size: int, chosen: tuple
+    ) -> None:
         if covered == self.full:
             if size < self.bound:
                 self.bound = size
@@ -165,13 +177,24 @@ class _Search:
                 if self.stop_on_first:
                     raise _FoundAny
             return
-        slots = self.branch_slots(covered, pool, size)
-        if slots is None:
+        node = self.branch_slots(covered, pool, planes, size)
+        if node is None:
             return
+        m, members = node
         cover = self.cover
-        for slot in slots:
+        for i, (c, neg) in enumerate(members):
+            # Counting closes this child and all later ones (c == m is a leaf).
+            if c < m and m - c > (self.bound - size - 2) * self.dd:
+                self.nodes += len(members) - i
+                return
+            slot = -neg
             pool ^= 1 << slot
-            self.run(covered | cover[slot], pool, size + 1, chosen + (slot,))
+            borrow, child = cover[slot], []
+            for plane in planes:
+                child.append(plane ^ borrow)
+                borrow &= ~plane
+            planes = child
+            self.run(covered | cover[slot], pool, planes, size + 1, chosen + (slot,))
 
 
 def _run_tasks(
@@ -184,8 +207,8 @@ def _run_tasks(
     g, bound, best_slots, deadline, tasks = job
     search = _Search(g, bound, best_slots, deadline)
     try:
-        for task in tasks:
-            search.run(*task)
+        for covered, pool, size, chosen in tasks:
+            search.run(covered, pool, _count_planes(g, pool), size, chosen)
     except _Timeout:
         return search.bound, search.best_slots, search.nodes, True
     return search.bound, search.best_slots, search.nodes, False
@@ -217,7 +240,9 @@ def solve_exact(
     probe = _Search(g, bound, best_slots, deadline)
     pool = g.full_mask ^ 1
     tasks = []
-    for slot in probe.branch_slots(cover[0], pool, 1) or ():
+    root = probe.branch_slots(cover[0], pool, _count_planes(g, pool), 1)
+    for _, neg in root[1] if root else ():
+        slot = -neg
         pool ^= 1 << slot
         tasks.append((cover[0] | cover[slot], pool, 2, (0, slot)))
 
@@ -277,33 +302,33 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
 
     Smallest under comparison of ascending slot tuples, i.e. preferring low
     u-side indices, then low v-side indices.  size must be at least the
-    domination number; the set is built by fixing one slot at a time and
-    testing completability with a bounded search.
+    domination number.  Vertex-transitivity puts u_1 in some minimum
+    dominating set, so slot 0 is taken without a search; every later slot is
+    fixed by testing completability with a bounded search.
     """
-    chosen: list[int] = []
-    covered = 0
     cover = g.cover_masks
-    for position in range(size):
+    chosen = [0]
+    covered = cover[0]
+    for position in range(1, size):
         remaining = size - position - 1
-        lowest = chosen[-1] + 1 if chosen else 0
-        for slot in range(lowest, g.n - remaining):
+        for slot in range(chosen[-1] + 1, g.n - remaining):
             pool = g.full_mask >> (slot + 1) << (slot + 1)
             if _completable(g, covered | cover[slot], pool, remaining):
                 chosen.append(slot)
                 covered |= cover[slot]
                 break
         else:
-            raise ValueError(f"no dominating set of size {size} exists in {g}")
+            break
+    if len(chosen) != size or covered != g.full_mask:
+        raise ValueError(f"no dominating set of size {size} exists in {g}")
     return VertexSet(g, _slots_mask(g.n, chosen))
 
 
 def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:
     """Whether some <= budget picks from pool extend covered to everything."""
-    if covered == g.full_mask:
-        return True
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, pool, 0, ())
+        search.run(covered, pool, _count_planes(g, pool), 0, ())
     except _FoundAny:
         return True
     return search.best_slots is not None

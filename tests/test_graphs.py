@@ -96,6 +96,11 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
         if mask >> g.slot(x) & 1:
             expected |= _closed_mask(g, x)
     assert g.closed_cover(mask) == expected
+    # The terms count: x lies in as many as it has neighbours in the mask.
+    terms = list(g.cover_terms(mask))
+    for x in g.vertices():
+        hits = sum(term >> g.slot(x) & 1 for term in terms)
+        assert hits == (_closed_mask(g, x) & mask).bit_count()
 
 
 def test_original_label_round_trip():

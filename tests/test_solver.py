@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -13,7 +14,8 @@ from knodel import (
     solve_exact,
 )
 from knodel.graphs import Side, Vertex, neighbors
-from knodel.solver import _Search
+import knodel.solver
+from knodel.solver import _count_planes, _pivot, _Search
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
@@ -91,15 +93,18 @@ def test_workers_must_be_positive():
 
 
 def test_exhausted_budget_reports_bounds_not_value():
-    g = build_graph(4, 48)
-    result = solve_exact(g, time_budget=1e-9)
-    assert not result.is_exact
-    assert result.value is None
-    lower, _ = gamma_bounds(g)
-    assert result.lower == lower
-    assert result.lower <= 12 <= result.upper
-    assert is_dominating(g, result.certificate)
-    assert len(result.certificate) == result.upper
+    # Residues 8 and 2: both searches outlast the first deadline check,
+    # which has to fire although closed children are counted in batches.
+    for n in (48, 62):
+        g = build_graph(4, n)
+        result = solve_exact(g, time_budget=1e-9)
+        assert not result.is_exact
+        assert result.value is None
+        lower, _ = gamma_bounds(g)
+        assert result.lower == lower
+        assert result.lower <= gamma_formula(n).value <= result.upper
+        assert is_dominating(g, result.certificate)
+        assert len(result.certificate) == result.upper
 
 
 def test_canonical_certificate_is_brute_force_first():
@@ -125,8 +130,14 @@ def test_canonical_certificate_not_above_default_certificate():
 
 
 def test_canonical_certificate_rejects_impossible_size():
-    with pytest.raises(ValueError):
-        canonical_certificate(build_graph(4, 16), 3)
+    # Slot 0 is taken without a search, so the refusal comes from the
+    # later positions (or, for sizes 0 and 1, from the final check).
+    for n in (16, 26, 38, 48):
+        g = build_graph(4, n)
+        gamma = gamma_formula(n).value
+        for size in (gamma - 1, 1, 0):
+            with pytest.raises(ValueError):
+                canonical_certificate(g, size)
 
 
 @pytest.mark.parametrize("delta,n", VALID_UP_TO_64)
@@ -155,14 +166,26 @@ def test_fixing_u1_keeps_the_plain_search_value():
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, g.full_mask, 0, ())
+        plain.run(0, g.full_mask, _count_planes(g, g.full_mask), 0, ())
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
     assert not failures
 
 
-@pytest.mark.parametrize("n,nodes", [(48, 13_969), (58, 29_296)])
+@pytest.mark.parametrize(
+    "n,nodes",
+    [
+        (38, 4_984),
+        (48, 13_969),
+        (58, 29_296),
+        (60, 1),
+        (62, 8_057),
+        (64, 1),
+        (66, 4_305),
+        (68, 51_266),
+    ],
+)
 def test_serial_node_counts_are_pinned(n, nodes):
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
 
@@ -182,3 +205,131 @@ def test_root_closing_orders_start_no_pool(pool_sizes, n):
     result = solve_exact(build_graph(4, n), workers=10**6)
     assert result.value == gamma_formula(n).value
     assert pool_sizes == []
+
+
+def scan_pivot(search, und, pool):
+    """The pivot scan the bit planes replaced: (pivot slot, its count)."""
+    pivot, best_count = -1, 1 << 62
+    t = und
+    while t:
+        low = t & -t
+        slot = low.bit_length() - 1
+        c = (search.cover[slot] & pool).bit_count()
+        if c < best_count:
+            best_count, pivot = c, slot
+            if c <= 1:
+                break
+        t ^= low
+    return pivot, best_count
+
+
+def scan_branch_slots(search, covered, pool, size):
+    """Reference node: the ordered candidate slots, or None if closed.
+
+    The prunes as first written, then the pivot scan over every undominated
+    vertex with an AND and a bit count each.
+    """
+    und = search.full & ~covered
+    if und == 0:
+        return None
+    budget = search.bound - 1 - size
+    if budget <= 0:
+        return None
+    dd = search.delta + 1
+    m = und.bit_count()
+    if size + (m + dd - 1) // dd >= search.bound:
+        return None
+    uu = (und & search.u_mask).bit_count()
+    uv = (und & ~search.u_mask).bit_count()
+    d1 = search.delta - 1
+    if d1 > 0:
+        lo = 0 if uv <= budget else -(-(uv - budget) // d1)
+        hi_num = search.delta * budget - uu
+        if hi_num < 0:
+            return None
+        hi = min(budget, hi_num // d1)
+        if lo > hi:
+            return None
+    elif uu > budget or uv > budget:
+        return None
+    pivot, best_count = scan_pivot(search, und, pool)
+    if best_count == 0:
+        return None
+    cover = search.cover
+    members = sorted(
+        ((cover[s] & und).bit_count(), -s)
+        for s in range(len(cover))
+        if (cover[pivot] & pool) >> s & 1
+    )
+    return [-neg for _, neg in reversed(members)]
+
+
+def plane_counts(planes, n):
+    return [sum((p >> x & 1) << i for i, p in enumerate(planes)) for x in range(n)]
+
+
+@pytest.mark.parametrize("delta,n", VALID_UP_TO_64)
+def test_bit_plane_kernel_matches_pivot_scan(delta, n):
+    # Random (covered, pool, size, bound) states; pools from full to sparse
+    # give every pivot count, and covers from none to one whole side make
+    # each prune, the bipartite one included, close some of the states.
+    g = build_graph(delta, n)
+    rng = random.Random(n * 10 + delta)
+    for _ in range(40):
+        dense, sparse = rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
+        covered = rng.choice((0, dense, sparse, g.u_mask, g.v_mask))
+        pool = rng.choice((g.full_mask, rng.getrandbits(n)))
+        for _ in range(rng.randint(0, 2)):
+            pool &= rng.getrandbits(n)
+        size = rng.randint(0, 3)
+        search = _Search(g, size + rng.randint(1, n), None, None)
+        planes = _count_planes(g, pool)
+        counts = [(c & pool).bit_count() for c in g.cover_masks]
+        assert plane_counts(planes, n) == counts
+
+        und = g.full_mask & ~covered
+        if und:
+            pivot, count = scan_pivot(search, und, pool)
+            assert _pivot(und, planes) == (count and 1 << pivot)
+        expected = scan_branch_slots(search, covered, pool, size)
+        got = search.branch_slots(covered, pool, planes, size)
+        if expected is None:
+            assert got is None
+        else:
+            m, members = got
+            assert m == und.bit_count()
+            assert [-neg for _, neg in members] == expected
+            assert [c for c, _ in members] == [
+                (g.cover_masks[s] & und).bit_count() for s in expected
+            ]
+
+
+class CheckedSearch(_Search):
+    """A search that checks every node against the reference kernel."""
+
+    def __init__(self, g, *args, **kwargs):
+        super().__init__(g, *args, **kwargs)
+        self.graph = g
+
+    def branch_slots(self, covered, pool, planes, size):
+        assert planes == _count_planes(self.graph, pool)
+        # Below solve_exact's root tasks (size 2), a child that the counting
+        # bound closes is counted by its parent and never entered.
+        m, dd = (self.full & ~covered).bit_count(), self.delta + 1
+        assert size <= 2 or size + -(-m // dd) < self.bound
+        expected = scan_branch_slots(self, covered, pool, size)
+        got = super().branch_slots(covered, pool, planes, size)
+        assert (got and [-neg for _, neg in got[1]]) == expected
+        return got
+
+
+@pytest.mark.parametrize(
+    "delta,n", [(1, 10), (2, 22), (3, 30), (4, 38), (4, 48), (5, 32), (5, 40)]
+)
+def test_carried_planes_and_kernel_hold_at_every_node(monkeypatch, delta, n):
+    g = build_graph(delta, n)
+    plain = solve_exact(g)
+    monkeypatch.setattr(knodel.solver, "_Search", CheckedSearch)
+    checked = solve_exact(g)
+    assert checked.nodes_explored == plain.nodes_explored
+    assert checked.certificate == plain.certificate

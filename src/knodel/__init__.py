@@ -24,11 +24,9 @@ from .graphs import (
     common_neighbor_predicate,
     common_neighbors,
     cyclic_sequence,
-    from_original_label,
     index_distance,
     m_delta,
     neighbors,
-    original_label,
     u,
     v,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "construct_dominating_set",
     "cyclic_sequence",
     "enumerate_sequences",
-    "from_original_label",
     "gamma_bounds",
     "gamma_formula",
     "greedy_upper_bound",
@@ -73,7 +70,6 @@ __all__ = [
     "is_dominating",
     "m_delta",
     "neighbors",
-    "original_label",
     "reconstruct_positions",
     "solve_exact",
     "u",

@@ -1,10 +1,12 @@
 """Command-line interface: gamma, construct, verify, sweep, enum-seq, export.
 
 Exit codes: 0 on success or agreement, 1 on a mathematical disagreement or a
-failed verification, 2 on usage or IO errors.  Dominating sets travel as
-JSON documents {"n": ..., "delta": ..., "u": [...], "v": [...]} with sorted,
-deduplicated 1-based index arrays.  KNODEL_THREADS sets the solver worker
-count for the gamma and sweep commands (default 1).
+failed verification, 2 on usage or IO errors.  Commands report usage errors
+by raising ValueError; main prints it, or an OSError, as one "error: " line
+on stderr.  Dominating sets travel as JSON documents
+{"n": ..., "delta": ..., "u": [...], "v": [...]} with sorted, deduplicated
+1-based index arrays.  KNODEL_THREADS sets the solver worker count for the
+gamma and sweep commands (default 1).
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from .solver import canonical_certificate, solve_exact
 __all__ = ["main", "load_adjacency_document"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _workers_from_env() -> int:
     raw = os.environ.get("KNODEL_THREADS")
     if raw is None:
@@ -39,7 +37,7 @@ def _workers_from_env() -> int:
     except ValueError:
         workers = 0
     if workers < 1:
-        raise _UsageError(f"KNODEL_THREADS must be a positive integer, got {raw!r}")
+        raise ValueError(f"KNODEL_THREADS must be a positive integer, got {raw!r}")
     return workers
 
 
@@ -65,9 +63,9 @@ def _strictly_increasing_ints(value: object, key: str) -> list[int]:
     if not isinstance(value, list) or any(
         not isinstance(q, int) or isinstance(q, bool) for q in value
     ):
-        raise _UsageError(f'"{key}" must be an array of integers')
+        raise ValueError(f'"{key}" must be an array of integers')
     if any(b <= a for a, b in zip(value, value[1:])):
-        raise _UsageError(f'"{key}" must be sorted and deduplicated')
+        raise ValueError(f'"{key}" must be sorted and deduplicated')
     return value
 
 
@@ -75,24 +73,20 @@ def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     try:
         raw = Path(path).read_text()
     except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"invalid JSON in {path}: {exc}")
+        raise ValueError(f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
-        raise _UsageError(f"{path} must contain a JSON object")
+        raise ValueError(f"{path} must contain a JSON object")
     for key in ("n", "delta", "u", "v"):
         if key not in doc:
-            raise _UsageError(f'{path} is missing the "{key}" key')
+            raise ValueError(f'{path} is missing the "{key}" key')
     u_indices = _strictly_increasing_ints(doc["u"], "u")
     v_indices = _strictly_increasing_ints(doc["v"], "v")
-    try:
-        g = build_graph(doc["delta"], doc["n"])
-        ds = VertexSet.from_indices(g, u_indices, v_indices)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    return g, ds
+    g = build_graph(doc["delta"], doc["n"])
+    return g, VertexSet.from_indices(g, u_indices, v_indices)
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
@@ -129,7 +123,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.graph is not None:
         n, delta = args.graph
         if (n, delta) != (g.n, g.delta):
-            raise _UsageError(
+            raise ValueError(
                 f"--graph {n} {delta} does not match the document's W({g.delta}, {g.n})"
             )
     missed = undominated(g, ds)
@@ -144,11 +138,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.start % 2 or args.stop % 2:
-        raise _UsageError("sweep bounds must be even")
+        raise ValueError("sweep bounds must be even")
     if args.start > args.stop:
-        raise _UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    if args.budget is not None and args.budget < 0:
-        raise _UsageError(f"--budget must be non-negative, got {args.budget}")
+        raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     workers = _workers_from_env()
     rows = ["n,formula,exact,agree,construct_ok,elapsed_ms"]
     any_failure = False
@@ -189,9 +181,9 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
 
 def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j) of the edges u_i v_j, by i and then by offset."""
-    for i in range(1, g.half + 1):
-        for off in g.offsets:
-            yield i, (i - 1 + off) % g.half + 1
+    for s in range(g.half):
+        for t in g.neighbor_slots(s):
+            yield s + 1, t - g.half + 1
 
 
 def _edgelist_text(g: KnodelGraph) -> str:
@@ -212,11 +204,12 @@ def _dot_text(g: KnodelGraph) -> str:
     return "\n".join(lines)
 
 
+def _adjacency(g: KnodelGraph) -> dict[str, list[str]]:
+    return {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
+
+
 def _adjacency_text(g: KnodelGraph) -> str:
-    adjacency: dict[str, list[str]] = {}
-    for x in g.vertices():
-        adjacency[str(x)] = [str(y) for y in sorted(neighbors(g, x))]
-    return json.dumps({"n": g.n, "delta": g.delta, "adjacency": adjacency}, indent=2)
+    return json.dumps({"n": g.n, "delta": g.delta, "adjacency": _adjacency(g)}, indent=2)
 
 
 def load_adjacency_document(text: str) -> KnodelGraph:
@@ -234,12 +227,8 @@ def load_adjacency_document(text: str) -> KnodelGraph:
     if not isinstance(adjacency, dict):
         raise ValueError('"adjacency" must be an object')
     g = build_graph(doc["delta"], doc["n"])
-    if len(adjacency) != g.n:
-        raise ValueError(f"expected {g.n} adjacency entries, got {len(adjacency)}")
-    for x in g.vertices():
-        expected = [str(y) for y in sorted(neighbors(g, x))]
-        if adjacency.get(str(x)) != expected:
-            raise ValueError(f"adjacency of {x} does not match W({g.delta}, {g.n})")
+    if adjacency != _adjacency(g):
+        raise ValueError(f"adjacency does not match W({g.delta}, {g.n})")
     return g
 
 
@@ -322,13 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConstructionError as exc:

@@ -48,14 +48,6 @@ class VertexSet:
             raise ValueError("mask has bits outside the graph's slot range")
 
     @classmethod
-    def empty(cls, graph: KnodelGraph) -> "VertexSet":
-        return cls(graph, 0)
-
-    @classmethod
-    def full(cls, graph: KnodelGraph) -> "VertexSet":
-        return cls(graph, graph.full_mask)
-
-    @classmethod
     def of(cls, graph: KnodelGraph, vertices: Iterable[Vertex]) -> "VertexSet":
         """Set containing the given vertices, each validated against graph."""
         return cls(graph, _slots_mask(graph.n, map(graph.slot, vertices)))
@@ -85,26 +77,6 @@ class VertexSet:
     def __iter__(self) -> Iterator[Vertex]:
         """Members in slot order: u-side ascending, then v-side ascending."""
         return map(self.graph.vertex_at, _positions(self.mask))
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.mask & ~other.mask)
-
-    def _check_same_graph(self, other: "VertexSet") -> None:
-        if self.graph != other.graph:
-            raise ValueError("vertex sets belong to different graphs")
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_same_graph(other)
-        return self.mask & ~other.mask == 0
 
     @property
     def u_indices(self) -> tuple[int, ...]:
@@ -154,14 +126,12 @@ def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
     Slots are grouped by gain, which lies in 0..delta+1, so each pick takes
     the lowest slot of the highest non-empty group.
     """
-    half, offsets = g.half, g.offsets
     # Offsets are distinct and below n/2, so each closed neighbourhood lists
     # delta + 1 distinct slots and every slot starts at gain delta + 1.  Gains
     # only fall, so the group of the highest gain top is listed once, in slot
     # order, when top is reached; members whose gain has since fallen are
     # skipped.
-    closed = [(i, *(half + (i + off) % half for off in offsets)) for i in range(half)]
-    closed += [(half + j, *((j - off) % half for off in offsets)) for j in range(half)]
+    closed = [(s, *g.neighbor_slots(s)) for s in range(g.n)]
     top = g.delta + 1
     gain = [top] * g.n
     group, at = list(range(g.n)), 0

@@ -6,17 +6,19 @@ V = {v_1, ..., v_{n/2}} in which u_i is adjacent to v_j exactly when
 
     (j - i) mod (n/2)  is one of  2**k - 1  for  0 <= k < delta.
 
-Labels are 1-based throughout.  Adjacency is always evaluated from this rule;
-no edge container is ever materialised, so graphs of any order are O(1) to
-build.  Internally each vertex also has a *slot*, a 0-based position in the
-fixed order u_1..u_{n/2}, v_1..v_{n/2}, which the domination and solver
-modules use to index bitmasks.
+Labels are 1-based throughout; the paper's 0-based pairs map to them as
+(1, j) = u_{j+1} and (2, j) = v_{j+1}.  Adjacency is always evaluated from
+this rule; no edge container is ever materialised, so graphs of any order are
+O(1) to build.  Internally each vertex also has a *slot*, a 0-based position
+in the fixed order u_1..u_{n/2}, v_1..v_{n/2}, which the domination and
+solver modules use to index bitmasks.
 
-The rule depends only on j - i, so W(delta, n) is bi-circulant:
-KnodelGraph.cover_terms, the only mask form of the rule, yields a set and
-its delta cyclic shifts per half, in time linear in n.  closed_cover ORs
-them for the verifier, which builds no per-vertex table; the solver adds
-them up into neighbour counts.
+No other module reads the offsets.  KnodelGraph.neighbor_slots is the rule
+for one slot, in offset order.  The rule depends only on j - i, so
+W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the only mask form of
+the rule, yields a set and its delta cyclic shifts per half, in time linear
+in n.  closed_cover ORs them for the verifier, which builds no per-vertex
+table; the solver adds them up into neighbour counts.
 """
 
 from __future__ import annotations
@@ -107,6 +109,15 @@ class KnodelGraph:
             return Vertex(Side.U, slot + 1)
         return Vertex(Side.V, slot - self.half + 1)
 
+    def neighbor_slots(self, slot: int) -> tuple[int, ...]:
+        """Slots of the delta neighbours of a slot, in offset order."""
+        if not 0 <= slot < self.n:
+            raise ValueError(f"slot {slot} out of range [0, {self.n})")
+        half = self.half
+        if slot < half:
+            return tuple(half + (slot + off) % half for off in self.offsets)
+        return tuple((slot - off) % half for off in self.offsets)
+
     def vertices(self) -> Iterator[Vertex]:
         """All vertices in slot order."""
         for i in range(1, self.half + 1):
@@ -121,10 +132,6 @@ class KnodelGraph:
     @cached_property
     def u_mask(self) -> int:
         return (1 << self.half) - 1
-
-    @cached_property
-    def v_mask(self) -> int:
-        return self.full_mask ^ self.u_mask
 
     def closed_cover(self, mask: int) -> int:
         """Closed neighbourhood of a slot bitmask, as a slot bitmask."""
@@ -161,30 +168,7 @@ def build_graph(delta: int, n: int) -> KnodelGraph:
 
 def neighbors(g: KnodelGraph, x: Vertex) -> frozenset[Vertex]:
     """Open neighbourhood of x in g, evaluated from the offset rule."""
-    g.check_vertex(x)
-    half = g.half
-    if x.side is Side.U:
-        return frozenset(
-            Vertex(Side.V, (x.index - 1 + off) % half + 1) for off in g.offsets
-        )
-    return frozenset(
-        Vertex(Side.U, (x.index - 1 - off) % half + 1) for off in g.offsets
-    )
-
-
-def original_label(x: Vertex) -> tuple[int, int]:
-    """Map u_j to (1, j-1) and v_j to (2, j-1), the 0-based pair convention."""
-    return (1 if x.side is Side.U else 2, x.index - 1)
-
-
-def from_original_label(label: tuple[int, int]) -> Vertex:
-    """Inverse of original_label()."""
-    part, j = label
-    if part not in (1, 2):
-        raise ValueError(f"part must be 1 or 2, got {part}")
-    if j < 0:
-        raise ValueError(f"position must be non-negative, got {j}")
-    return Vertex(Side.U if part == 1 else Side.V, j + 1)
+    return frozenset(map(g.vertex_at, g.neighbor_slots(g.slot(x))))
 
 
 @lru_cache(maxsize=None)

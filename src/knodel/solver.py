@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .domination import VertexSet, _slots_mask, gamma_bounds, greedy_upper_bound
@@ -227,6 +226,8 @@ def solve_exact(
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time_budget must be None or >= 0, got {time_budget}")
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     degree_lower, _ = gamma_bounds(g)
@@ -250,6 +251,8 @@ def solve_exact(
     if workers <= 1:
         results = [_run_tasks((g, bound, best_slots, deadline, tasks))]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(g, bound, best_slots, deadline, [task]) for task in tasks]
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_tasks, jobs))

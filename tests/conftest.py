@@ -1,6 +1,6 @@
-import pytest
+import concurrent.futures
 
-import knodel.solver
+import pytest
 
 
 @pytest.fixture
@@ -25,5 +25,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(knodel.solver, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     return sizes

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knodel
 from knodel import build_graph, canonical_certificate, is_dominating, solve_exact
 from knodel.cli import load_adjacency_document, main
 from knodel.domination import VertexSet
@@ -185,11 +189,14 @@ def test_sweep_is_deterministic_outside_timing(capsys):
         ("sweep", "--from", "16", "--to", "21"),
         ("sweep", "--from", "20", "--to", "16"),
         ("sweep", "--from", "16", "--to", "20", "--budget", "-1"),
+        ("sweep", "--from", "16", "--to", "20", "--budget", "nan"),
         ("sweep", "--from", "16"),
     ],
 )
 def test_sweep_rejects_bad_arguments(capsys, argv):
-    assert run(capsys, *argv)[0] == 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
 
 
 def test_enum_seq_output_and_expectation(capsys):
@@ -309,3 +316,36 @@ def test_huge_thread_env_is_clamped(capsys, monkeypatch, pool_sizes):
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch):
+    constructed = tmp_path / "d16.json"
+    assert run(capsys, "construct", "16", "--out", str(constructed))[0] == 0
+    (tmp_path / "bad.json").write_text("not json")
+    cases = [
+        ({}, ("verify", "--set", str(tmp_path))),
+        ({}, ("verify", "--set", str(tmp_path / "bad.json"))),
+        ({"KNODEL_THREADS": "junk"}, ("gamma", "16")),
+        ({}, ("sweep", "--from", "15", "--to", "20")),
+        ({}, ("verify", "--set", str(constructed), "--graph", "18", "4")),
+    ]
+    for env, argv in cases:
+        with monkeypatch.context() as m:
+            for key, value in env.items():
+                m.setenv(key, value)
+            code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(knodel.__file__).parents[1]))
+    code = (
+        "import sys, knodel.cli; "
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -11,11 +11,9 @@ from knodel import (
     common_neighbor_predicate,
     common_neighbors,
     cyclic_sequence,
-    from_original_label,
     index_distance,
     m_delta,
     neighbors,
-    original_label,
     u,
     v,
 )
@@ -75,6 +73,30 @@ def test_adjacency_is_regular_bipartite_and_symmetric_up_to_64():
                 assert all(x in neighbors(g, y) for y in ns)
 
 
+def test_neighbor_slots_follow_the_offset_rule_up_to_64():
+    # u_i ~ v_j iff (j - i) mod n/2 is 2**k - 1 for some k < delta, checked
+    # over all pairs; slot i < n/2 is u_{i+1} and slot n/2 + j is v_{j+1}.
+    for n in range(2, 65, 2):
+        half = n // 2
+        for delta in range(1, int(math.log2(n)) + 1):
+            g = build_graph(delta, n)
+            offsets = [2**k - 1 for k in range(delta)]
+            for i in range(half):
+                expected = [
+                    half + j for off in offsets for j in range(half)
+                    if (j - i) % half == off
+                ]
+                assert g.neighbor_slots(i) == tuple(expected)
+                expected = [
+                    j for off in offsets for j in range(half)
+                    if (i - j) % half == off
+                ]
+                assert g.neighbor_slots(half + i) == tuple(expected)
+            for slot in (-1, n):
+                with pytest.raises(ValueError):
+                    g.neighbor_slots(slot)
+
+
 def _closed_mask(g, x):
     """Slot bitmask of {x} | neighbors(g, x), built element by element."""
     return sum(1 << g.slot(y) for y in neighbors(g, x) | {x})
@@ -101,20 +123,6 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
     for x in g.vertices():
         hits = sum(term >> g.slot(x) & 1 for term in terms)
         assert hits == (_closed_mask(g, x) & mask).bit_count()
-
-
-def test_original_label_round_trip():
-    assert original_label(u(1)) == (1, 0)
-    assert original_label(v(1)) == (2, 0)
-    g = build_graph(4, 16)
-    for x in g.vertices():
-        assert from_original_label(original_label(x)) == x
-
-
-@pytest.mark.parametrize("label", [(0, 3), (3, 0), (1, -1)])
-def test_from_original_label_rejects_bad_labels(label):
-    with pytest.raises(ValueError):
-        from_original_label(label)
 
 
 def test_m_delta_known_values():

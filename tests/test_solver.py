@@ -92,6 +92,13 @@ def test_workers_must_be_positive():
         solve_exact(build_graph(4, 16), workers=0)
 
 
+@pytest.mark.parametrize("budget", [-1.0, float("nan")])
+def test_time_budget_must_be_a_non_negative_number(budget):
+    # NaN fails every comparison, so a NaN deadline would never expire.
+    with pytest.raises(ValueError):
+        solve_exact(build_graph(4, 48), time_budget=budget)
+
+
 def test_exhausted_budget_reports_bounds_not_value():
     # Residues 8 and 2: both searches outlast the first deadline check,
     # which has to fire although closed children are counted in batches.
@@ -277,7 +284,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
     rng = random.Random(n * 10 + delta)
     for _ in range(40):
         dense, sparse = rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
-        covered = rng.choice((0, dense, sparse, g.u_mask, g.v_mask))
+        covered = rng.choice((0, dense, sparse, g.u_mask, g.full_mask ^ g.u_mask))
         pool = rng.choice((g.full_mask, rng.getrandbits(n)))
         for _ in range(rng.randint(0, 2)):
             pool &= rng.getrandbits(n)

@@ -5,8 +5,10 @@ failed verification, 2 on usage or IO errors.  Commands report usage errors
 by raising ValueError; main prints it, or an OSError, as one "error: " line
 on stderr.  Dominating sets travel as JSON documents
 {"n": ..., "delta": ..., "u": [...], "v": [...]} with sorted, deduplicated
-1-based index arrays.  KNODEL_THREADS sets the solver worker count for the
-gamma and sweep commands (default 1).
+1-based index arrays; verify is the only command that reads a document.
+export writes W(delta, n) as dot, an edge list or a JSON adjacency object,
+for other tools; nothing here parses them back.  KNODEL_THREADS sets the
+solver worker count for the gamma and sweep commands (default 1).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .graphs import KnodelGraph, Side, build_graph, neighbors
 from .sequences import enumerate_sequences
 from .solver import canonical_certificate, solve_exact
 
-__all__ = ["main", "load_adjacency_document"]
+__all__ = ["main"]
 
 
 def _workers_from_env() -> int:
@@ -204,32 +206,9 @@ def _dot_text(g: KnodelGraph) -> str:
     return "\n".join(lines)
 
 
-def _adjacency(g: KnodelGraph) -> dict[str, list[str]]:
-    return {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
-
-
 def _adjacency_text(g: KnodelGraph) -> str:
-    return json.dumps({"n": g.n, "delta": g.delta, "adjacency": _adjacency(g)}, indent=2)
-
-
-def load_adjacency_document(text: str) -> KnodelGraph:
-    """Parse an exported adjacency document, revalidating every edge.
-
-    Raises ValueError on any malformed or mismatching document.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("adjacency document must be a JSON object")
-    for key in ("n", "delta", "adjacency"):
-        if key not in doc:
-            raise ValueError(f'adjacency document is missing the "{key}" key')
-    adjacency = doc["adjacency"]
-    if not isinstance(adjacency, dict):
-        raise ValueError('"adjacency" must be an object')
-    g = build_graph(doc["delta"], doc["n"])
-    if adjacency != _adjacency(g):
-        raise ValueError(f"adjacency does not match W({g.delta}, {g.n})")
-    return g
+    adjacency = {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
+    return json.dumps({"n": g.n, "delta": g.delta, "adjacency": adjacency}, indent=2)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

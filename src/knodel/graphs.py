@@ -29,6 +29,22 @@ from functools import cached_property, lru_cache, reduce
 from operator import or_
 from typing import Iterable, Iterator
 
+__all__ = [
+    "Side",
+    "Vertex",
+    "u",
+    "v",
+    "KnodelGraph",
+    "build_graph",
+    "neighbors",
+    "m_delta",
+    "index_distance",
+    "CyclicSequence",
+    "cyclic_sequence",
+    "common_neighbor_predicate",
+    "common_neighbors",
+]
+
 
 class Side(str, enum.Enum):
     """Bipartition class of a vertex: U for u-labelled, V for v-labelled."""
@@ -73,9 +89,9 @@ class KnodelGraph:
             raise ValueError(f"order must be a positive even integer, got {self.n}")
         if self.delta < 1:
             raise ValueError(f"degree must be at least 1, got {self.delta}")
-        if 2**self.delta > self.n:
+        if self.n >> self.delta == 0:
             raise ValueError(
-                f"degree {self.delta} requires order at least {2**self.delta}, got {self.n}"
+                f"degree {self.delta} requires order at least 2**{self.delta}, got {self.n}"
             )
 
     @property

@@ -109,9 +109,11 @@ def enumerate_sequences(
         raise ValueError(f"total {total} cannot be split into {k} positive gaps")
     if parts_in_m_exact < 0 or adjacent_sums_in_m_max < 0:
         raise ValueError("filter counts must be non-negative")
-    m = m_delta(delta)
+    # Only members <= total are looked up, and 2**a - 2**b > total once
+    # a > total.bit_length(), so a larger delta adds no member that matters.
+    m = m_delta(min(delta, total.bit_length() + 1))
     # collide[d]: vertices d apart share a neighbour (common_neighbor_predicate).
-    exists = 2 * total >= 2**delta
+    exists = 2 * total >> delta > 0
     collide = [d in m or total - d in m for d in range(total)] if exists else None
     classes = []
     # Depth first over (prefix, remaining, gaps in m, adjacent sums in m);

@@ -8,7 +8,7 @@ import pytest
 
 import knodel
 from knodel import build_graph, canonical_certificate, is_dominating, solve_exact
-from knodel.cli import load_adjacency_document, main
+from knodel.cli import main
 from knodel.domination import VertexSet
 
 
@@ -249,35 +249,18 @@ def test_export_dot_structure(capsys):
     assert out.count("{") == out.count("}") == 3
 
 
-def test_export_json_round_trips(capsys):
-    code, out, _ = run(capsys, "export", "16", "--format", "json")
+@pytest.mark.parametrize("delta", [3, 4, 5])
+def test_export_json_follows_the_offset_rule(capsys, delta):
+    code, out, _ = run(capsys, "export", "32", "--delta", str(delta), "--format", "json")
     assert code == 0
-    g = load_adjacency_document(out)
-    assert (g.delta, g.n) == (4, 16)
     doc = json.loads(out)
-    doc["adjacency"]["u1"] = ["v1", "v2", "v4", "v7"]
-    with pytest.raises(ValueError):
-        load_adjacency_document(json.dumps(doc))
-
-
-@pytest.mark.parametrize(
-    "doc",
-    [
-        [],
-        "W(4, 16)",
-        {"delta": 4, "adjacency": {}},
-        {"n": 16, "adjacency": {}},
-        {"n": 16, "delta": 4},
-        {"n": "16", "delta": 4, "adjacency": {}},
-        {"n": 16, "delta": 4.0, "adjacency": {}},
-        {"n": 16, "delta": True, "adjacency": {}},
-        {"n": 16, "delta": 4, "adjacency": ["u1"]},
-        {"n": 16, "delta": 4, "adjacency": None},
-    ],
-)
-def test_load_adjacency_document_raises_value_error_on_malformed_input(doc):
-    with pytest.raises(ValueError):
-        load_adjacency_document(json.dumps(doc))
+    assert (doc["n"], doc["delta"]) == (32, delta)
+    # u_i ~ v_j iff (j - i) mod n/2 is 2**k - 1; indices ascend in each list.
+    half, offsets = 16, {2**k - 1 for k in range(delta)}
+    labels = range(1, half + 1)
+    expected = {f"u{i}": [f"v{j}" for j in labels if (j - i) % half in offsets] for i in labels}
+    expected |= {f"v{j}": [f"u{i}" for i in labels if (j - i) % half in offsets] for j in labels}
+    assert list(doc["adjacency"].items()) == list(expected.items())
 
 
 def test_export_other_degrees(capsys):

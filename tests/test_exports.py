@@ -21,3 +21,24 @@ def test_module_exports_resolve(name):
     module = importlib.import_module(f"knodel.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+LIBRARY = [name for name in MODULES if name != "cli"]
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_module_lists_its_public_names(name):
+    assert isinstance(importlib.import_module(f"knodel.{name}").__all__, list)
+
+
+def test_package_exports_exactly_the_library_lists():
+    lists = [importlib.import_module(f"knodel.{name}").__all__ for name in LIBRARY]
+    assert len(knodel.__all__) == len(set(knodel.__all__))
+    assert set(knodel.__all__) == set().union(*lists)
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_package_names_are_the_module_objects(name):
+    module = importlib.import_module(f"knodel.{name}")
+    for attr in module.__all__:
+        assert getattr(knodel, attr) is getattr(module, attr), attr

@@ -39,12 +39,19 @@ def test_build_graph_accepts_valid_parameters(delta, n):
     "delta,n",
     [
         (4, 15), (4, 14), (0, 16), (4, 0), (5, 16), (6, 32), (3, -8), (2, 3),
-        (True, 16), (4, 16.0),
+        (True, 16), (4, 16.0), (20000, 16), (10**12, 16),
     ],
 )
 def test_build_graph_rejects_invalid_parameters(delta, n):
     with pytest.raises(ValueError):
         build_graph(delta, n)
+
+
+def test_build_graph_names_the_order_bound_without_computing_it():
+    # 2**20000 has more decimal digits than int -> str allows by default.
+    message = r"^degree 20000 requires order at least 2\*\*20000, got 16$"
+    with pytest.raises(ValueError, match=message):
+        build_graph(20000, 16)
 
 
 def test_neighbors_known_values():

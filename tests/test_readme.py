@@ -1,0 +1,51 @@
+"""The README's Library examples and CLI transcripts, run as written."""
+
+import doctest
+import shlex
+from pathlib import Path
+
+import pytest
+
+from knodel.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def fenced(lang):
+    """Bodies of the README's ```lang blocks, in order."""
+    return [block.split("```", 1)[0] for block in README.split(f"```{lang}\n")[1:]]
+
+
+def transcripts():
+    """Map each "$ knodel ..." line of the sh blocks to the lines printed under it."""
+    out = {}
+    for block in fenced("sh"):
+        for chunk in block.split("\n\n"):
+            if chunk.startswith("$ knodel "):
+                command, *lines = chunk.strip("\n").split("\n")
+                out[command[2:]] = lines
+    return out
+
+
+def test_library_block_passes_doctest():
+    (block,) = fenced("python")
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    runner = doctest.DocTestRunner()
+    result = runner.run(test)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "knodel gamma 36",
+        "knodel construct 16",
+        "knodel enum-seq --k 3 --total 13 --exact-in-m 2 --adj-max 0 --expect 5",
+    ],
+)
+def test_cli_transcript_matches_main(capsys, monkeypatch, command):
+    monkeypatch.delenv("KNODEL_THREADS", raising=False)
+    expected = transcripts()[command]
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out.splitlines() == expected

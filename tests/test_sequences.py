@@ -17,6 +17,7 @@ from knodel import (
     reconstruct_positions,
     u,
 )
+from knodel import sequences
 
 THREE_PART_13 = [(1, 4, 8), (1, 8, 4), (2, 3, 8), (2, 8, 3), (4, 4, 5)]
 FOUR_PART_19_ONE = [(1, 5, 5, 8), (1, 8, 5, 5), (4, 5, 5, 5)]
@@ -220,6 +221,25 @@ def test_enumerate_edge_cases():
     small = enumerate_sequences(2, 5, 2, 1)
     assert [c.canonical.gaps for c in small] == [(1, 4), (2, 3)]
     assert all(c.colliding_pairs is None for c in small)
+
+
+@pytest.mark.parametrize(
+    "k,total,exact,adj", [(3, 13, 2, 0), (3, 13, 2, 2), (4, 19, 3, 2), (2, 40, 1, 1)]
+)
+def test_enumerate_caps_delta_at_the_members_it_can_look_up(monkeypatch, k, total, exact, adj):
+    # Members of m_delta above total are never looked up, so no delta beyond
+    # total.bit_length() + 1 is ever built, and a huge delta matches the cap
+    # (which is 5 at total 13).
+    cap = total.bit_length() + 1
+
+    def capped_m_delta(delta):
+        assert delta <= cap, f"m_delta({delta}) built for total {total}"
+        return m_delta(delta)
+
+    monkeypatch.setattr(sequences, "m_delta", capped_m_delta)
+    assert enumerate_sequences(k, total, exact, adj, delta=10**6) == enumerate_sequences(
+        k, total, exact, adj, delta=cap
+    )
 
 
 def test_enumerate_rejects_bad_parameters():

@@ -29,6 +29,9 @@ from .solver import canonical_certificate, solve_exact
 
 __all__ = ["main"]
 
+# The largest order a set document may claim: verify builds masks of n bits.
+_MAX_ORDER = 2**21
+
 
 def _workers_from_env() -> int:
     raw = os.environ.get("KNODEL_THREADS")
@@ -88,10 +91,14 @@ def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     u_indices = _strictly_increasing_ints(doc["u"], "u")
     v_indices = _strictly_increasing_ints(doc["v"], "v")
     g = build_graph(doc["delta"], doc["n"])
+    if g.n > _MAX_ORDER:
+        raise ValueError(f"order {g.n} in {path} exceeds the limit {_MAX_ORDER}")
     return g, VertexSet.from_indices(g, u_indices, v_indices)
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:
+    if args.canonical and args.method == "formula":
+        raise ValueError("--canonical needs --method exact or both")
     workers = _workers_from_env()
     doc: dict[str, object] = {"n": args.n, "delta": 4}
     if args.method in ("formula", "both"):

@@ -1,4 +1,4 @@
-"""Knödel graphs and the index calculus on their two vertex classes.
+"""Knödel graphs: vertex labels, slots and the offset rule.
 
 The Knödel graph W(delta, n), defined for even n with 2**delta <= n, is the
 delta-regular bipartite graph on parts U = {u_1, ..., u_{n/2}} and
@@ -18,16 +18,17 @@ for one slot, in offset order.  The rule depends only on j - i, so
 W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the only mask form of
 the rule, yields a set and its delta cyclic shifts per half, in time linear
 in n.  closed_cover ORs them for the verifier, which builds no per-vertex
-table; the solver adds them up into neighbour counts.
+table; the solver adds them up into neighbour counts.  The calculus of
+same-side index distances and gap sequences is in sequences.py.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "Side",
@@ -37,12 +38,6 @@ __all__ = [
     "KnodelGraph",
     "build_graph",
     "neighbors",
-    "m_delta",
-    "index_distance",
-    "CyclicSequence",
-    "cyclic_sequence",
-    "common_neighbor_predicate",
-    "common_neighbors",
 ]
 
 
@@ -185,97 +180,3 @@ def build_graph(delta: int, n: int) -> KnodelGraph:
 def neighbors(g: KnodelGraph, x: Vertex) -> frozenset[Vertex]:
     """Open neighbourhood of x in g, evaluated from the offset rule."""
     return frozenset(map(g.vertex_at, g.neighbor_slots(g.slot(x))))
-
-
-@lru_cache(maxsize=None)
-def m_delta(delta: int) -> frozenset[int]:
-    """The difference set {2**a - 2**b : 0 <= b < a < delta}.
-
-    Membership of an index distance in this set (or of its complement to
-    n/2) characterises same-side vertex pairs with a common neighbour.
-    """
-    if delta < 2:
-        raise ValueError(f"degree must be at least 2, got {delta}")
-    return frozenset(
-        2**a - 2**b for a in range(1, delta) for b in range(a)
-    )
-
-
-def _check_same_side_pair(g: KnodelGraph, a: Vertex, b: Vertex) -> None:
-    g.check_vertex(a)
-    g.check_vertex(b)
-    if a.side is not b.side:
-        raise ValueError(f"{a} and {b} lie in different bipartition classes")
-    if a == b:
-        raise ValueError(f"vertices must be distinct, got {a} twice")
-
-
-def index_distance(g: KnodelGraph, a: Vertex, b: Vertex) -> int:
-    """Cyclic distance min(|i-j|, n/2 - |i-j|) between two same-side vertices."""
-    _check_same_side_pair(g, a, b)
-    d = abs(a.index - b.index)
-    return min(d, g.half - d)
-
-
-@dataclass(frozen=True)
-class CyclicSequence:
-    """Gap sequence of a set of same-side indices around the cycle Z_{n/2}.
-
-    gaps[j] is the index step from the j-th chosen vertex to the next in
-    ascending order, the final entry wrapping around; the entries are
-    positive and sum to half = n/2.
-    """
-
-    gaps: tuple[int, ...]
-    half: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        if not self.gaps:
-            raise ValueError("gap sequence must be non-empty")
-        if any(not isinstance(q, int) or q <= 0 for q in self.gaps):
-            raise ValueError(f"gaps must be positive integers, got {self.gaps}")
-        if sum(self.gaps) != self.half:
-            raise ValueError(
-                f"gaps {self.gaps} sum to {sum(self.gaps)}, expected {self.half}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.gaps)
-
-
-def cyclic_sequence(g: KnodelGraph, s: Iterable[Vertex]) -> CyclicSequence:
-    """Gap sequence of a non-empty set of vertices from a single side of g."""
-    vs = sorted(set(s))
-    if not vs:
-        raise ValueError("vertex set must be non-empty")
-    side = vs[0].side
-    for x in vs:
-        g.check_vertex(x)
-        if x.side is not side:
-            raise ValueError("vertex set must lie in a single bipartition class")
-    idx = [x.index for x in vs]
-    gaps = [b - a for a, b in zip(idx, idx[1:])]
-    gaps.append(g.half + idx[0] - idx[-1])
-    return CyclicSequence(tuple(gaps), g.half)
-
-
-def common_neighbor_predicate(g: KnodelGraph, a: Vertex, b: Vertex) -> bool:
-    """Whether two same-side vertices share a neighbour, via the difference set.
-
-    True exactly when index_distance(g, a, b) or n/2 minus it lies in
-    m_delta(g.delta); equivalent to common_neighbors(g, a, b) being
-    non-empty, but computed in O(1) from the distance alone.
-    """
-    d = index_distance(g, a, b)
-    m = m_delta(g.delta)
-    return d in m or (g.half - d) in m
-
-
-def common_neighbors(g: KnodelGraph, a: Vertex, b: Vertex) -> frozenset[Vertex]:
-    """Common neighbourhood N(a) & N(b) of two same-side vertices."""
-    _check_same_side_pair(g, a, b)
-    return neighbors(g, a) & neighbors(g, b)

@@ -1,11 +1,15 @@
-"""Enumeration of gap sequences of one-sided vertex sets up to rotation.
+"""The gap-sequence calculus on one vertex class, and its census.
 
-A set of k same-side vertices in W(delta, n) determines a cyclic sequence of
-k positive gaps summing to n/2; rotating the sequence corresponds to
-relabelling which chosen vertex is listed first, so classes are represented
-by their lexicographically smallest rotation.  Reversal is a genuinely
-different placement and is *not* factored out.  Two statistics drive the
-enumeration filters:
+Two same-side vertices of W(delta, n) share a neighbour exactly when their
+cyclic index distance, or n/2 minus it, lies in the difference set m_delta;
+common_neighbor_predicate decides this in O(1) from the distance.
+
+A set of k same-side vertices determines a cyclic sequence of k positive
+gaps summing to n/2; rotating the sequence corresponds to relabelling which
+chosen vertex is listed first, so classes are represented by their
+lexicographically smallest rotation.  Reversal is a genuinely different
+placement and is *not* factored out.  Two statistics drive the enumeration
+filters:
 
 * how many gaps lie in the difference set m_delta (each such gap is a pair
   of chosen vertices at a distance forcing a common neighbour);
@@ -23,24 +27,119 @@ ties with g0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, combinations
+from typing import Iterable, Iterator
 
-from .graphs import (
-    CyclicSequence,
-    KnodelGraph,
-    Side,
-    Vertex,
-    common_neighbor_predicate,
-    m_delta,
-)
+from .graphs import KnodelGraph, Vertex, neighbors, u
 
 __all__ = [
+    "m_delta",
+    "index_distance",
+    "CyclicSequence",
+    "cyclic_sequence",
+    "common_neighbor_predicate",
+    "common_neighbors",
     "SequenceClass",
     "canonical_rotation",
     "reconstruct_positions",
     "colliding_pairs",
     "enumerate_sequences",
 ]
+
+
+@lru_cache(maxsize=None)
+def m_delta(delta: int) -> frozenset[int]:
+    """The difference set {2**a - 2**b : 0 <= b < a < delta}.
+
+    Membership of an index distance in this set (or of its complement to
+    n/2) characterises same-side vertex pairs with a common neighbour.
+    """
+    if delta < 2:
+        raise ValueError(f"degree must be at least 2, got {delta}")
+    return frozenset(
+        2**a - 2**b for a in range(1, delta) for b in range(a)
+    )
+
+
+def _check_same_side_pair(g: KnodelGraph, a: Vertex, b: Vertex) -> None:
+    g.check_vertex(a)
+    g.check_vertex(b)
+    if a.side is not b.side:
+        raise ValueError(f"{a} and {b} lie in different bipartition classes")
+    if a == b:
+        raise ValueError(f"vertices must be distinct, got {a} twice")
+
+
+def index_distance(g: KnodelGraph, a: Vertex, b: Vertex) -> int:
+    """Cyclic distance min(|i-j|, n/2 - |i-j|) between two same-side vertices."""
+    _check_same_side_pair(g, a, b)
+    d = abs(a.index - b.index)
+    return min(d, g.half - d)
+
+
+@dataclass(frozen=True)
+class CyclicSequence:
+    """Gap sequence of a set of same-side indices around the cycle Z_{n/2}.
+
+    gaps[j] is the index step from the j-th chosen vertex to the next in
+    ascending order, the final entry wrapping around; the entries are
+    positive and sum to half = n/2.
+    """
+
+    gaps: tuple[int, ...]
+    half: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gaps", tuple(self.gaps))
+        if not self.gaps:
+            raise ValueError("gap sequence must be non-empty")
+        if any(not isinstance(q, int) or q <= 0 for q in self.gaps):
+            raise ValueError(f"gaps must be positive integers, got {self.gaps}")
+        if sum(self.gaps) != self.half:
+            raise ValueError(
+                f"gaps {self.gaps} sum to {sum(self.gaps)}, expected {self.half}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.gaps)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.gaps)
+
+
+def cyclic_sequence(g: KnodelGraph, s: Iterable[Vertex]) -> CyclicSequence:
+    """Gap sequence of a non-empty set of vertices from a single side of g."""
+    vs = sorted(set(s))
+    if not vs:
+        raise ValueError("vertex set must be non-empty")
+    side = vs[0].side
+    for x in vs:
+        g.check_vertex(x)
+        if x.side is not side:
+            raise ValueError("vertex set must lie in a single bipartition class")
+    idx = [x.index for x in vs]
+    gaps = [b - a for a, b in zip(idx, idx[1:])]
+    gaps.append(g.half + idx[0] - idx[-1])
+    return CyclicSequence(tuple(gaps), g.half)
+
+
+def common_neighbor_predicate(g: KnodelGraph, a: Vertex, b: Vertex) -> bool:
+    """Whether two same-side vertices share a neighbour, via the difference set.
+
+    True exactly when index_distance(g, a, b) or n/2 minus it lies in
+    m_delta(g.delta); equivalent to common_neighbors(g, a, b) being
+    non-empty, but computed in O(1) from the distance alone.
+    """
+    d = index_distance(g, a, b)
+    m = m_delta(g.delta)
+    return d in m or (g.half - d) in m
+
+
+def common_neighbors(g: KnodelGraph, a: Vertex, b: Vertex) -> frozenset[Vertex]:
+    """Common neighbourhood N(a) & N(b) of two same-side vertices."""
+    _check_same_side_pair(g, a, b)
+    return neighbors(g, a) & neighbors(g, b)
 
 
 @dataclass(frozen=True)
@@ -72,21 +171,13 @@ def reconstruct_positions(seq: CyclicSequence) -> frozenset[Vertex]:
     Returns {u_1, u_{1+g_1}, u_{1+g_1+g_2}, ...}; its cyclic_sequence in any
     graph with the matching half is a rotation of seq.
     """
-    out = [1]
-    for gap in seq.gaps[:-1]:
-        out.append(out[-1] + gap)
-    return frozenset(Vertex(Side.U, i) for i in out)
+    return frozenset(map(u, accumulate(seq.gaps[:-1], initial=1)))
 
 
 def colliding_pairs(g: KnodelGraph, s: frozenset[Vertex]) -> int:
     """Number of unordered same-side pairs of s that share a neighbour."""
-    vs = sorted(s)
-    count = 0
-    for i, a in enumerate(vs):
-        for b in vs[i + 1 :]:
-            if a.side is b.side and common_neighbor_predicate(g, a, b):
-                count += 1
-    return count
+    pairs = combinations(sorted(s), 2)
+    return sum(a.side is b.side and common_neighbor_predicate(g, a, b) for a, b in pairs)
 
 
 def enumerate_sequences(
@@ -112,9 +203,12 @@ def enumerate_sequences(
     # Only members <= total are looked up, and 2**a - 2**b > total once
     # a > total.bit_length(), so a larger delta adds no member that matters.
     m = m_delta(min(delta, total.bit_length() + 1))
-    # collide[d]: vertices d apart share a neighbour (common_neighbor_predicate).
-    exists = 2 * total >> delta > 0
-    collide = [d in m or total - d in m for d in range(total)] if exists else None
+    # collide[d]: vertices d >= 1 apart share a neighbour; None without W(delta, 2 * total).
+    try:
+        g = KnodelGraph(delta, 2 * total)
+        collide = [d and common_neighbor_predicate(g, u(1), u(1 + d)) for d in range(total)]
+    except ValueError:
+        collide = None
     classes = []
     # Depth first over (prefix, remaining, gaps in m, adjacent sums in m);
     # children are pushed in descending order, so full sequences come off the

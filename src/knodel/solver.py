@@ -9,14 +9,15 @@ summed at a search root from KnodelGraph.cover_terms and lowered by a borrow
 chain as slots leave the pool, so the pivot is read without a scan.  Two
 prunes cut the tree:
 
-* counting: a vertex covers at most delta + 1 vertices, so a partial set of
-  size s with m undominated vertices needs at least ceil(m / (delta + 1))
-  further picks; children come in descending new cover, so the parent
-  counts the first child this closes, and all later ones, without a call;
-* bipartite counting: a u-side pick covers at most delta undominated v-side
-  vertices and one u-side vertex (and symmetrically), so the remaining
-  budget r must admit a split a + b = r with delta*a + b covering the
-  undominated v-side count and a + delta*b the u-side count.
+* bipartite counting, at each node: a u-side pick covers at most delta
+  undominated v-side vertices and one u-side vertex (and symmetrically), so
+  the remaining budget r must admit a split a + b = r with delta*a + b
+  covering the undominated v-side count and a + delta*b the u-side count;
+  summed, (delta + 1) * r must reach the undominated count, so this test
+  closes every node that counting alone would;
+* counting, in the parent: children come in descending new cover, so the
+  parent counts the first child that (delta + 1) * r cannot finish, and
+  all later ones, without a call.
 
 Symmetry: the index rotation i -> i+1 on both sides and the swap
 u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
@@ -137,11 +138,7 @@ class _Search:
                 raise _Timeout
         und = self.full & ~covered
         budget = self.bound - 1 - size
-        if budget <= 0:
-            return None
         m = und.bit_count()
-        if size - (-m // self.dd) >= self.bound:
-            return None
         uu = (und & self.u_mask).bit_count()
         uv = m - uu
         d1 = self.delta - 1

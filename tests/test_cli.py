@@ -8,7 +8,7 @@ import pytest
 
 import knodel
 from knodel import build_graph, canonical_certificate, is_dominating, solve_exact
-from knodel.cli import main
+from knodel.cli import _MAX_ORDER, main
 from knodel.domination import VertexSet
 
 
@@ -140,6 +140,18 @@ def test_verify_rejects_missing_file_and_graph_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--set", str(target), "--graph", "18", "4")
     assert code == 2
     assert "does not match" in err
+
+
+def test_verify_refuses_orders_over_the_document_limit(capsys, tmp_path):
+    # Both documents hold a constructed dominating set, so only the limit decides.
+    at_limit, over = (tmp_path / "at_limit.json", tmp_path / "over.json")
+    for n, target in ((_MAX_ORDER, at_limit), (_MAX_ORDER + 2, over)):
+        assert run(capsys, "construct", str(n), "--out", str(target))[0] == 0
+    assert run(capsys, "verify", "--set", str(at_limit))[:2] == (0, "PASS\n")
+    code, out, err = run(capsys, "verify", "--set", str(over))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(_MAX_ORDER) in err
 
 
 def test_sweep_range_agrees(capsys):
@@ -311,6 +323,7 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch):
         ({"KNODEL_THREADS": "junk"}, ("gamma", "16")),
         ({}, ("sweep", "--from", "15", "--to", "20")),
         ({}, ("verify", "--set", str(constructed), "--graph", "18", "4")),
+        ({}, ("gamma", "16", "--method", "formula", "--canonical")),
     ]
     for env, argv in cases:
         with monkeypatch.context() as m:

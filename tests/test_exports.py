@@ -42,3 +42,37 @@ def test_package_names_are_the_module_objects(name):
     module = importlib.import_module(f"knodel.{name}")
     for attr in module.__all__:
         assert getattr(knodel, attr) is getattr(module, attr), attr
+
+
+PUBLIC_NAMES = [
+    "ConstructionError", "CyclicSequence", "EXCEPTIONAL_ORDERS", "GammaFormulaResult",
+    "KnodelGraph", "SequenceClass", "Side", "SolveResult", "Vertex", "VertexSet",
+    "brute_force_min", "build_graph", "canonical_certificate", "canonical_rotation",
+    "closed_neighborhood", "colliding_pairs", "common_neighbor_predicate",
+    "common_neighbors", "construct_dominating_set", "cyclic_sequence",
+    "enumerate_sequences", "gamma_bounds", "gamma_formula", "greedy_upper_bound",
+    "index_distance", "is_dominating", "m_delta", "neighbors", "reconstruct_positions",
+    "solve_exact", "u", "undominated", "v",
+]
+
+
+def test_package_public_names_are_pinned():
+    assert sorted(knodel.__all__) == PUBLIC_NAMES
+
+
+CALCULUS = [
+    "m_delta",
+    "index_distance",
+    "CyclicSequence",
+    "cyclic_sequence",
+    "common_neighbor_predicate",
+    "common_neighbors",
+]
+
+
+@pytest.mark.parametrize("name", CALCULUS)
+def test_index_calculus_is_defined_in_sequences(name):
+    obj = getattr(knodel.sequences, name)
+    assert getattr(knodel, name) is obj
+    assert obj.__module__ == "knodel.sequences"
+    assert name not in knodel.graphs.__all__

@@ -1,11 +1,13 @@
 """The README's Library examples and CLI transcripts, run as written."""
 
 import doctest
+import json
 import shlex
 from pathlib import Path
 
 import pytest
 
+from knodel import construct_dominating_set
 from knodel.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -17,11 +19,11 @@ def fenced(lang):
 
 
 def transcripts():
-    """Map each "$ knodel ..." line of the sh blocks to the lines printed under it."""
+    """Map each "$ ..." line of the sh blocks to the lines printed under it."""
     out = {}
     for block in fenced("sh"):
         for chunk in block.split("\n\n"):
-            if chunk.startswith("$ knodel "):
+            if chunk.startswith("$ "):
                 command, *lines = chunk.strip("\n").split("\n")
                 out[command[2:]] = lines
     return out
@@ -49,3 +51,19 @@ def test_cli_transcript_matches_main(capsys, monkeypatch, command):
     expected = transcripts()[command]
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_verify_transcript_runs_on_the_document_shown(capsys, monkeypatch, tmp_path):
+    shown = transcripts()
+    (document,) = shown["cat bad28.json"]
+    ds = construct_dominating_set(28)
+    assert json.loads(document) == {
+        "n": 28,
+        "delta": 4,
+        "u": [i for i in ds.u_indices if i != 1],
+        "v": list(ds.v_indices),
+    }
+    (tmp_path / "bad28.json").write_text(document + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--set", "bad28.json"]) == 1
+    assert capsys.readouterr().out.splitlines() == shown["knodel verify --set bad28.json"]

@@ -168,8 +168,9 @@ def brute_force_census(delta, k, total):
 
 def test_enumerate_matches_brute_force_census():
     # Whole SequenceClass lists, in order, for every exact count and adjacent
-    # maximum in 0..k; delta 5 never has a graph here (2 * 14 < 32).
-    for delta in (3, 4, 5):
+    # maximum in 0..k; delta 2 (m_delta = {1}) has a graph for every total >= 2,
+    # delta 5 never has one here (2 * 14 < 32).
+    for delta in (2, 3, 4, 5):
         for k in range(1, 6):
             for total in range(k, 15):
                 census = brute_force_census(delta, k, total)

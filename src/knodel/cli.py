@@ -29,7 +29,7 @@ from .solver import canonical_certificate, solve_exact
 
 __all__ = ["main"]
 
-# The largest order a set document may claim: verify builds masks of n bits.
+# The largest order verify, construct and sweep accept: each builds n-bit masks.
 _MAX_ORDER = 2**21
 
 
@@ -122,6 +122,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.n > _MAX_ORDER:
+        raise ValueError(f"order {args.n} exceeds the limit {_MAX_ORDER}")
     ds = construct_dominating_set(args.n)
     _write_output(_set_document(ds), args.out)
     return 0
@@ -150,6 +152,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep bounds must be even")
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
+    if args.stop > _MAX_ORDER:
+        raise ValueError(f"--to {args.stop} exceeds the order limit {_MAX_ORDER}")
     workers = _workers_from_env()
     rows = ["n,formula,exact,agree,construct_ok,elapsed_ms"]
     any_failure = False

@@ -4,6 +4,7 @@ A set D dominates W(delta, n) when every vertex is in D or adjacent to a
 member of D.  Vertex sets are bitmasks over graph slots, and the verifier is
 2 * delta cyclic shifts of their two halves (KnodelGraph.closed_cover), linear
 in n; it is the single source of truth for every construction and certificate.
+Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 """
 
 from __future__ import annotations
@@ -119,38 +120,22 @@ def gamma_bounds(g: KnodelGraph) -> tuple[int, int]:
 def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
     """Dominating set built by repeatedly taking a vertex of maximum new cover.
 
-    Ties are broken by lowest slot, i.e. side U before side V and then by
-    ascending index, which makes the result deterministic.  Each slot's gain,
-    the number of uncovered vertices in its closed neighbourhood, is kept in
-    a list and lowered as vertices become covered, so memory is linear in n.
-    Slots are grouped by gain, which lies in 0..delta+1, so each pick takes
-    the lowest slot of the highest non-empty group.
+    Ties go to the lowest slot (side U first, then ascending index), so the
+    result is deterministic.  New covers are KnodelGraph.cover_counts of the
+    undominated set, the bit planes the solver counts candidates with.
     """
-    # Offsets are distinct and below n/2, so each closed neighbourhood lists
-    # delta + 1 distinct slots and every slot starts at gain delta + 1.  Gains
-    # only fall, so the group of the highest gain top is listed once, in slot
-    # order, when top is reached; members whose gain has since fallen are
-    # skipped.
-    closed = [(s, *g.neighbor_slots(s)) for s in range(g.n)]
-    top = g.delta + 1
-    gain = [top] * g.n
-    group, at = list(range(g.n)), 0
-    covered = bytearray(g.n)
-    uncovered = g.n
-    chosen = []
-    while uncovered:
-        while at < len(group) and gain[group[at]] != top:
-            at += 1
-        if at == len(group):
-            top -= 1
-            group, at = [s for s in range(g.n) if gain[s] == top], 0
-            continue
-        best = group[at]
-        chosen.append(best)
-        for x in closed[best]:
-            if not covered[x]:
-                covered[x] = 1
-                uncovered -= 1
-                for y in closed[x]:
-                    gain[y] -= 1
-    return VertexSet(g, _slots_mask(g.n, chosen))
+    # top holds the slots of the highest count.  Counts only fall, and a pick
+    # lowers those of the slots meeting what it covers, so rebuild when top empties.
+    und, top, chosen = g.full_mask, 0, 0
+    while und:
+        if not top:
+            top = g.full_mask
+            for plane in reversed(g.cover_counts(und)):
+                if top & plane:
+                    top &= plane
+        pick = top & -top
+        chosen |= pick
+        lost = und & g.closed_cover(pick)
+        und ^= lost
+        top &= ~g.closed_cover(lost)
+    return VertexSet(g, chosen)

@@ -18,8 +18,8 @@ for one slot, in offset order.  The rule depends only on j - i, so
 W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the only mask form of
 the rule, yields a set and its delta cyclic shifts per half, in time linear
 in n.  closed_cover ORs them for the verifier, which builds no per-vertex
-table; the solver adds them up into neighbour counts.  The calculus of
-same-side index distances and gap sequences is in sequences.py.
+table; cover_counts sums them into bit planes of neighbour counts for greedy
+and the solver.  Index distances and gap sequences are in sequences.py.
 """
 
 from __future__ import annotations
@@ -165,6 +165,15 @@ class KnodelGraph:
         yield mask
         for off in self.offsets:
             yield sv2 >> off & u_mask | (su2 >> (half - off) & u_mask) << half
+
+    def cover_counts(self, mask: int) -> list[int]:
+        """Bit x of planes[i] is bit i of |N[x] & mask|: the sum of the cover terms."""
+        planes = [0] * (self.delta + 1).bit_length()
+        for carry in self.cover_terms(mask):
+            for i, plane in enumerate(planes):
+                planes[i] = plane ^ carry
+                carry &= plane
+        return planes
 
     @cached_property
     def cover_masks(self) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ whose closed neighbourhood meets the fewest remaining candidates and branches
 on every candidate that could cover x; candidates consumed by earlier
 siblings are dropped from later ones, so each dominating set is enumerated
 once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
-summed at a search root from KnodelGraph.cover_terms and lowered by a borrow
+read at a search root from KnodelGraph.cover_counts and lowered by a borrow
 chain as slots leave the pool, so the pivot is read without a scan.  Two
 prunes cut the tree:
 
@@ -31,9 +31,9 @@ in process, in branch order, on a single search that carries the bound
 forward, so a repeated single-threaded run returns the identical certificate
 and node count.  Otherwise the tasks go to a process pool of at most
 min(workers, tasks, CPUs) processes and their results are combined in branch
-order under a strict improvement rule, which reproduces the single-threaded
-value (the certificate may differ when a later branch wins under a looser
-bound).
+order under a strict improvement rule.  The branch order does not depend on
+the bound, so each task finds the first set of its subtree's minimum size and
+the fold keeps the single-threaded certificate, unless a budget runs out.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .domination import VertexSet, _slots_mask, gamma_bounds, greedy_upper_bound
+from .domination import VertexSet, _positions, _slots_mask, gamma_bounds, greedy_upper_bound
 from .graphs import KnodelGraph
 
 __all__ = ["SolveResult", "solve_exact", "brute_force_min", "canonical_certificate"]
@@ -76,16 +76,6 @@ class _Timeout(Exception):
 
 class _FoundAny(Exception):
     pass
-
-
-def _count_planes(g: KnodelGraph, pool: int) -> list[int]:
-    """Bit x of planes[i] is bit i of |N[x] & pool|: the sum of the cover terms."""
-    planes = [0] * (g.delta + 1).bit_length()
-    for carry in g.cover_terms(pool):
-        for i, plane in enumerate(planes):
-            planes[i] = plane ^ carry
-            carry &= plane
-    return planes
 
 
 def _pivot(und: int, planes: list[int]) -> int:
@@ -204,7 +194,7 @@ def _run_tasks(
     search = _Search(g, bound, best_slots, deadline)
     try:
         for covered, pool, size, chosen in tasks:
-            search.run(covered, pool, _count_planes(g, pool), size, chosen)
+            search.run(covered, pool, g.cover_counts(pool), size, chosen)
     except _Timeout:
         return search.bound, search.best_slots, search.nodes, True
     return search.bound, search.best_slots, search.nodes, False
@@ -218,8 +208,8 @@ def solve_exact(
     time_budget is a wall-clock limit in seconds; on expiry the result has
     value None and carries the best bounds proved so far.  workers > 1
     distributes the root branches over at most that many processes, never
-    more than there are root branches or CPUs; the value is the same as a
-    single-threaded run.
+    more than there are root branches or CPUs; the value and certificate are
+    those of a single-threaded run.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -228,9 +218,8 @@ def solve_exact(
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     degree_lower, _ = gamma_bounds(g)
-    greedy = greedy_upper_bound(g)
-    best_slots = tuple(g.slot(x) for x in greedy)
-    bound = len(greedy)
+    best_slots = tuple(_positions(greedy_upper_bound(g).mask))
+    bound = len(best_slots)
 
     # Vertex-transitivity lets u_1 (slot 0) start in the set; a lone u_1
     # dominates only W(1, 2), where greedy already found the optimum.
@@ -238,7 +227,7 @@ def solve_exact(
     probe = _Search(g, bound, best_slots, deadline)
     pool = g.full_mask ^ 1
     tasks = []
-    root = probe.branch_slots(cover[0], pool, _count_planes(g, pool), 1)
+    root = probe.branch_slots(cover[0], pool, g.cover_counts(pool), 1)
     for _, neg in root[1] if root else ():
         slot = -neg
         pool ^= 1 << slot
@@ -254,7 +243,7 @@ def solve_exact(
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_tasks, jobs))
     # Results are combined in branch order with a strict improvement rule,
-    # which reproduces the single-threaded value.
+    # which reproduces the single-threaded value and certificate.
     nodes = probe.nodes
     timed_out = False
     for sub_bound, sub_slots, sub_nodes, sub_timed_out in results:
@@ -328,7 +317,7 @@ def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:
     """Whether some <= budget picks from pool extend covered to everything."""
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, pool, _count_planes(g, pool), 0, ())
+        search.run(covered, pool, g.cover_counts(pool), 0, ())
     except _FoundAny:
         return True
     return search.best_slots is not None

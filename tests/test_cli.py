@@ -7,8 +7,14 @@ from pathlib import Path
 import pytest
 
 import knodel
-from knodel import build_graph, canonical_certificate, is_dominating, solve_exact
-from knodel.cli import _MAX_ORDER, main
+from knodel import (
+    build_graph,
+    canonical_certificate,
+    construct_dominating_set,
+    is_dominating,
+    solve_exact,
+)
+from knodel.cli import _MAX_ORDER, _set_document, main
 from knodel.domination import VertexSet
 
 
@@ -144,9 +150,10 @@ def test_verify_rejects_missing_file_and_graph_mismatch(capsys, tmp_path):
 
 def test_verify_refuses_orders_over_the_document_limit(capsys, tmp_path):
     # Both documents hold a constructed dominating set, so only the limit decides.
+    # construct refuses the order over the limit, so the library writes that one.
     at_limit, over = (tmp_path / "at_limit.json", tmp_path / "over.json")
-    for n, target in ((_MAX_ORDER, at_limit), (_MAX_ORDER + 2, over)):
-        assert run(capsys, "construct", str(n), "--out", str(target))[0] == 0
+    assert run(capsys, "construct", str(_MAX_ORDER), "--out", str(at_limit))[0] == 0
+    over.write_text(_set_document(construct_dominating_set(_MAX_ORDER + 2)))
     assert run(capsys, "verify", "--set", str(at_limit))[:2] == (0, "PASS\n")
     code, out, err = run(capsys, "verify", "--set", str(over))
     assert (code, out) == (2, "")
@@ -317,6 +324,7 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch):
     constructed = tmp_path / "d16.json"
     assert run(capsys, "construct", "16", "--out", str(constructed))[0] == 0
     (tmp_path / "bad.json").write_text("not json")
+    over = str(_MAX_ORDER + 2)
     cases = [
         ({}, ("verify", "--set", str(tmp_path))),
         ({}, ("verify", "--set", str(tmp_path / "bad.json"))),
@@ -324,6 +332,8 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path, monkeypatch):
         ({}, ("sweep", "--from", "15", "--to", "20")),
         ({}, ("verify", "--set", str(constructed), "--graph", "18", "4")),
         ({}, ("gamma", "16", "--method", "formula", "--canonical")),
+        ({}, ("construct", over)),
+        ({}, ("sweep", "--from", over, "--to", over, "--budget", "0")),
     ]
     for env, argv in cases:
         with monkeypatch.context() as m:

@@ -132,6 +132,18 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
         assert hits == (_closed_mask(g, x) & mask).bit_count()
 
 
+@given(small_graphs(), st.data())
+def test_cover_counts_are_the_closed_neighbourhood_counts(g, data):
+    # Bit x of plane i is bit i of |N[x] & mask|, for greedy and the solver.
+    mask = data.draw(st.integers(0, g.full_mask))
+    planes = g.cover_counts(mask)
+    assert len(planes) == (g.delta + 1).bit_length()
+    assert all(plane >> g.n == 0 for plane in planes)
+    for x in range(g.n):
+        count = sum((plane >> x & 1) << i for i, plane in enumerate(planes))
+        assert count == (g.closed_cover(1 << x) & mask).bit_count()
+
+
 def test_m_delta_known_values():
     assert m_delta(4) == {1, 2, 3, 4, 6, 7}
     assert m_delta(2) == {1}

@@ -15,7 +15,7 @@ from knodel import (
 )
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
-from knodel.solver import _count_planes, _pivot, _Search
+from knodel.solver import _pivot, _Search
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
@@ -77,14 +77,25 @@ def test_single_threaded_runs_are_identical():
     assert first.nodes_explored == second.nodes_explored
 
 
-@pytest.mark.parametrize("n", [38, 46])
-def test_parallel_value_matches_single_threaded(n):
-    g = build_graph(4, n)
+@pytest.mark.parametrize(
+    "delta,n",
+    [pytest.param(4, n, id=str(n)) for n in range(16, 69, 2)]
+    + [(delta, n) for delta in (2, 3, 5, 6) for n in range(2**delta, 65, 2)],
+)
+def test_parallel_value_matches_single_threaded(pool_sizes, monkeypatch, delta, n):
+    # Each root task finds the first set of its subtree's minimum size whatever
+    # its starting bound, so the fold keeps the serial run's certificate.  The
+    # stand-in pool runs the pooled path in process, one task per job.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = build_graph(delta, n)
     serial = solve_exact(g)
     parallel = solve_exact(g, workers=2)
     assert parallel.value == serial.value
+    assert parallel.certificate == serial.certificate
     assert is_dominating(g, parallel.certificate)
     assert len(parallel.certificate) == parallel.value
+    if delta == 4 and n % 10 == 8:
+        assert pool_sizes == [2]
 
 
 def test_workers_must_be_positive():
@@ -173,7 +184,7 @@ def test_fixing_u1_keeps_the_plain_search_value():
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, g.full_mask, _count_planes(g, g.full_mask), 0, ())
+        plain.run(0, g.full_mask, g.cover_counts(g.full_mask), 0, ())
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -290,7 +301,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
             pool &= rng.getrandbits(n)
         size = rng.randint(0, 3)
         search = _Search(g, size + rng.randint(1, n), None, None)
-        planes = _count_planes(g, pool)
+        planes = g.cover_counts(pool)
         counts = [(c & pool).bit_count() for c in g.cover_masks]
         assert plane_counts(planes, n) == counts
 
@@ -319,7 +330,7 @@ class CheckedSearch(_Search):
         self.graph = g
 
     def branch_slots(self, covered, pool, planes, size):
-        assert planes == _count_planes(self.graph, pool)
+        assert planes == self.graph.cover_counts(pool)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
         m, dd = (self.full & ~covered).bit_count(), self.delta + 1

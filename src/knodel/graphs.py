@@ -19,7 +19,9 @@ W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the only mask form of
 the rule, yields a set and its delta cyclic shifts per half, in time linear
 in n.  closed_cover ORs them for the verifier, which builds no per-vertex
 table; cover_counts sums them into bit planes of neighbour counts for greedy
-and the solver.  Index distances and gap sequences are in sequences.py.
+and the solver.  The solver's per-slot tables, cover_masks and near_masks
+(radius one and two), are built once per graph.  Index distances and gap
+sequences are in sequences.py.
 """
 
 from __future__ import annotations
@@ -179,6 +181,11 @@ class KnodelGraph:
     def cover_masks(self) -> tuple[int, ...]:
         """Closed-neighbourhood bitmask for every slot, in slot order."""
         return tuple(self.closed_cover(1 << s) for s in range(self.n))
+
+    @cached_property
+    def near_masks(self) -> tuple[int, ...]:
+        """Slots within distance two of every slot: closed_cover of its cover mask."""
+        return tuple(map(self.closed_cover, self.cover_masks))
 
 
 def build_graph(delta: int, n: int) -> KnodelGraph:

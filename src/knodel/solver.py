@@ -6,15 +6,22 @@ on every candidate that could cover x; candidates consumed by earlier
 siblings are dropped from later ones, so each dominating set is enumerated
 once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
 read at a search root from KnodelGraph.cover_counts and lowered by a borrow
-chain as slots leave the pool, so the pivot is read without a scan.  Two
-prunes cut the tree:
+chain as slots leave the pool, so the pivot is read without a scan.  Each
+node also carries near = closed_cover(covered), grown by the pick's
+KnodelGraph.near_masks entry.  Three prunes cut the tree:
 
 * bipartite counting, at each node: a u-side pick covers at most delta
   undominated v-side vertices and one u-side vertex (and symmetrically), so
   the remaining budget r must admit a split a + b = r with delta*a + b
   covering the undominated v-side count and a + delta*b the u-side count;
-  summed, (delta + 1) * r must reach the undominated count, so this test
+  summed, (delta + 1) * r must reach the undominated count m, so this test
   closes every node that counting alone would;
+* forced waste, at each node: r picks over-cover by at most the slack
+  (delta + 1) * r - m.  A pool slot outside near is perfect, its closed
+  neighbourhood all undominated; each undominated vertex outside the
+  closed_cover of the perfect slots needs an imperfect pick, which covers at
+  most delta of them and wastes at least one, so the node closes when they
+  need more such picks than the slack allows;
 * counting, in the parent: children come in descending new cover, so the
   parent counts the first child that (delta + 1) * r cannot finish, and
   all later ones, without a call.
@@ -106,6 +113,8 @@ class _Search:
         stop_on_first: bool = False,
     ):
         self.cover = g.cover_masks
+        self.near = g.near_masks
+        self.closed_cover = g.closed_cover
         self.full = g.full_mask
         self.u_mask = g.u_mask
         self.delta = g.delta
@@ -117,10 +126,12 @@ class _Search:
         self.nodes = 0
         self.next_check = 1024  # a threshold: closed children count in batches
 
-    def branch_slots(self, covered: int, pool: int, planes: list[int], size: int):
+    def branch_slots(
+        self, covered: int, near: int, pool: int, planes: list[int], size: int
+    ):
         """Undominated count and (new cover, -slot) candidates covering the
         pivot, descending, ties to the lower slot; None if closed (pruned or
-        already dominated)."""
+        already dominated).  near is closed_cover(covered)."""
         self.nodes += 1
         if self.nodes >= self.next_check and self.deadline is not None:
             self.next_check = self.nodes + 1024
@@ -138,6 +149,13 @@ class _Search:
                 return None
         elif uu > budget or uv > budget:
             return None
+        # Forced waste.  The forced vertices are at most m, so a node whose m
+        # fits the slack skips the closed_cover.
+        slack = self.dd * budget - m
+        if m > self.delta * slack:
+            forced = und & ~self.closed_cover(pool & ~near)
+            if forced.bit_count() > self.delta * slack:
+                return None
 
         low = _pivot(und, planes)
         if not low:
@@ -154,7 +172,13 @@ class _Search:
         return m, members
 
     def run(
-        self, covered: int, pool: int, planes: list[int], size: int, chosen: tuple
+        self,
+        covered: int,
+        near: int,
+        pool: int,
+        planes: list[int],
+        size: int,
+        chosen: tuple,
     ) -> None:
         if covered == self.full:
             if size < self.bound:
@@ -163,7 +187,7 @@ class _Search:
                 if self.stop_on_first:
                     raise _FoundAny
             return
-        node = self.branch_slots(covered, pool, planes, size)
+        node = self.branch_slots(covered, near, pool, planes, size)
         if node is None:
             return
         m, members = node
@@ -180,7 +204,14 @@ class _Search:
                 child.append(plane ^ borrow)
                 borrow &= ~plane
             planes = child
-            self.run(covered | cover[slot], pool, planes, size + 1, chosen + (slot,))
+            self.run(
+                covered | cover[slot],
+                near | self.near[slot],
+                pool,
+                planes,
+                size + 1,
+                chosen + (slot,),
+            )
 
 
 def _run_tasks(
@@ -193,8 +224,8 @@ def _run_tasks(
     g, bound, best_slots, deadline, tasks = job
     search = _Search(g, bound, best_slots, deadline)
     try:
-        for covered, pool, size, chosen in tasks:
-            search.run(covered, pool, g.cover_counts(pool), size, chosen)
+        for covered, near, pool, size, chosen in tasks:
+            search.run(covered, near, pool, g.cover_counts(pool), size, chosen)
     except _Timeout:
         return search.bound, search.best_slots, search.nodes, True
     return search.bound, search.best_slots, search.nodes, False
@@ -223,15 +254,15 @@ def solve_exact(
 
     # Vertex-transitivity lets u_1 (slot 0) start in the set; a lone u_1
     # dominates only W(1, 2), where greedy already found the optimum.
-    cover = g.cover_masks
+    cover, near = g.cover_masks, g.near_masks
     probe = _Search(g, bound, best_slots, deadline)
     pool = g.full_mask ^ 1
     tasks = []
-    root = probe.branch_slots(cover[0], pool, g.cover_counts(pool), 1)
+    root = probe.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1)
     for _, neg in root[1] if root else ():
         slot = -neg
         pool ^= 1 << slot
-        tasks.append((cover[0] | cover[slot], pool, 2, (0, slot)))
+        tasks.append((cover[0] | cover[slot], near[0] | near[slot], pool, 2, (0, slot)))
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -317,7 +348,7 @@ def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:
     """Whether some <= budget picks from pool extend covered to everything."""
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, pool, g.cover_counts(pool), 0, ())
+        search.run(covered, g.closed_cover(covered), pool, g.cover_counts(pool), 0, ())
     except _FoundAny:
         return True
     return search.best_slots is not None

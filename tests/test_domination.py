@@ -13,6 +13,7 @@ from knodel import (
     undominated,
     v,
 )
+from knodel.graphs import KnodelGraph
 
 
 def small_graphs():
@@ -141,6 +142,33 @@ def test_greedy_result_dominates_within_bounds(n):
 def test_greedy_is_deterministic():
     g = build_graph(4, 38)
     assert greedy_upper_bound(g) == greedy_upper_bound(g)
+
+
+def test_greedy_covers_a_new_vertex_with_every_pick(monkeypatch):
+    # Greedy calls closed_cover twice per pick: on the pick, then on what the
+    # pick newly covered.  A greedy that stops making progress fails here at
+    # once instead of looping until the suite is killed.
+    real = KnodelGraph.closed_cover
+    state = {}
+
+    def guarded(g, mask):
+        result = real(g, mask)
+        state["calls"] += 1
+        if state["calls"] % 2:
+            picks = (state["calls"] + 1) // 2
+            assert picks <= g.n, f"{picks} picks on {g.n} vertices"
+            assert mask.bit_count() == 1
+            assert result & ~state["covered"], f"pick {mask.bit_length() - 1} covers nothing new"
+            state["covered"] |= result
+        return result
+
+    monkeypatch.setattr(KnodelGraph, "closed_cover", guarded)
+    for delta in range(1, 7):
+        for n in range(2**delta, 2**delta + 41, 2):
+            state.update(calls=0, covered=0)
+            s = greedy_upper_bound(build_graph(delta, n))
+            assert state["calls"] == 2 * len(s)
+            assert state["covered"] == s.graph.full_mask
 
 
 def full_rescan_greedy(g):

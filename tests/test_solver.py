@@ -184,7 +184,7 @@ def test_fixing_u1_keeps_the_plain_search_value():
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, g.full_mask, g.cover_counts(g.full_mask), 0, ())
+        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, ())
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -194,17 +194,21 @@ def test_fixing_u1_keeps_the_plain_search_value():
 @pytest.mark.parametrize(
     "n,nodes",
     [
-        (38, 4_984),
-        (48, 13_969),
-        (58, 29_296),
+        (38, 2_938),
+        (48, 4_705),
+        (58, 7_988),
         (60, 1),
-        (62, 8_057),
+        (62, 2_053),
         (64, 1),
-        (66, 4_305),
-        (68, 51_266),
+        (66, 866),
+        (68, 12_432),
+        (88, 20_794),
+        (128, 31_882),
     ],
 )
 def test_serial_node_counts_are_pinned(n, nodes):
+    # Residue 8 grew about as n^4 without the forced-waste prune (88: 140,518;
+    # 128: 567,315), and grows about linearly with it.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
 
 
@@ -241,10 +245,11 @@ def scan_pivot(search, und, pool):
     return pivot, best_count
 
 
-def scan_branch_slots(search, covered, pool, size):
+def scan_branch_slots(search, covered, pool, size, forced_waste=True):
     """Reference node: the ordered candidate slots, or None if closed.
 
-    The prunes as first written, then the pivot scan over every undominated
+    The prunes as first written, the forced-waste one from its definition
+    unless forced_waste is false, then the pivot scan over every undominated
     vertex with an AND and a bit count each.
     """
     und = search.full & ~covered
@@ -270,10 +275,20 @@ def scan_branch_slots(search, covered, pool, size):
             return None
     elif uu > budget or uv > budget:
         return None
+    cover = search.cover
+    if forced_waste:
+        # A perfect pick covers delta + 1 undominated vertices; each other
+        # undominated vertex needs an imperfect pick, which wastes at least one.
+        spread = 0
+        for y in range(len(cover)):
+            if pool >> y & 1 and (cover[y] & und).bit_count() == dd:
+                spread |= cover[y]
+        forced = (und & ~spread).bit_count()
+        if -(-forced // search.delta) > dd * budget - m:
+            return None
     pivot, best_count = scan_pivot(search, und, pool)
     if best_count == 0:
         return None
-    cover = search.cover
     members = sorted(
         ((cover[s] & und).bit_count(), -s)
         for s in range(len(cover))
@@ -310,7 +325,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
             pivot, count = scan_pivot(search, und, pool)
             assert _pivot(und, planes) == (count and 1 << pivot)
         expected = scan_branch_slots(search, covered, pool, size)
-        got = search.branch_slots(covered, pool, planes, size)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size)
         if expected is None:
             assert got is None
         else:
@@ -322,21 +337,80 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
             ]
 
 
+def has_completion(g, covered, pool, budget):
+    """Exhaustive search, no bound: whether <= budget pool slots dominate.
+
+    Every completion holds a candidate of the lowest undominated vertex, so
+    branching on those candidates reaches every completion.
+    """
+    und = g.full_mask & ~covered
+    if not und:
+        return True
+    if budget == 0:
+        return False
+    candidates = g.cover_masks[(und & -und).bit_length() - 1] & pool
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        slot = low.bit_length() - 1
+        if has_completion(g, covered | g.cover_masks[slot], pool, budget - 1):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "delta,n",
+    [(1, 6), (1, 10), (2, 8), (2, 12), (3, 12), (3, 16), (4, 20), (4, 24), (5, 32),
+     (5, 36), (6, 64)],
+)
+def test_forced_waste_never_closes_a_completable_node(delta, n):
+    # Random covers, from closed neighbourhoods of sparse sets to arbitrary
+    # masks, with budgets at and just above the counting bound: there the
+    # slack is small and the forced-waste rule is the one that closes.
+    g = build_graph(delta, n)
+    rng = random.Random(n * 10 + delta)
+    closed_by_rule = 0
+    for _ in range(200):
+        sparse = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        covered = rng.choice(
+            (g.closed_cover(sparse), g.closed_cover(sparse) | rng.getrandbits(n),
+             rng.getrandbits(n))
+        )
+        pool = rng.choice(
+            (g.full_mask, g.full_mask & ~covered, rng.getrandbits(n) | rng.getrandbits(n))
+        )
+        m = (g.full_mask & ~covered).bit_count()
+        budget = -(-m // (delta + 1)) + rng.randint(0, 1)
+        size = rng.randint(0, 2)
+        search = _Search(g, size + 1 + budget, None, None)
+        planes = g.cover_counts(pool)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size)
+        assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
+            search, covered, pool, size
+        )
+        if got is None and scan_branch_slots(search, covered, pool, size, False) is not None:
+            closed_by_rule += 1
+            assert not has_completion(g, covered, pool, budget)
+    assert closed_by_rule > 0
+
+
 class CheckedSearch(_Search):
-    """A search that checks every node against the reference kernel."""
+    """A search that checks every node's carried masks and its kernel
+    against the reference."""
 
     def __init__(self, g, *args, **kwargs):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def branch_slots(self, covered, pool, planes, size):
+    def branch_slots(self, covered, near, pool, planes, size):
         assert planes == self.graph.cover_counts(pool)
+        assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
         m, dd = (self.full & ~covered).bit_count(), self.delta + 1
         assert size <= 2 or size + -(-m // dd) < self.bound
         expected = scan_branch_slots(self, covered, pool, size)
-        got = super().branch_slots(covered, pool, planes, size)
+        got = super().branch_slots(covered, near, pool, planes, size)
         assert (got and [-neg for _, neg in got[1]]) == expected
         return got
 

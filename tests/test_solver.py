@@ -194,16 +194,16 @@ def test_fixing_u1_keeps_the_plain_search_value():
 @pytest.mark.parametrize(
     "n,nodes",
     [
-        (38, 2_938),
-        (48, 4_705),
-        (58, 7_988),
-        (60, 1),
-        (62, 2_053),
-        (64, 1),
-        (66, 866),
-        (68, 12_432),
-        (88, 20_794),
-        (128, 31_882),
+        pytest.param(38, 2_938, id="38"),
+        pytest.param(48, 4_705, id="48"),
+        pytest.param(58, 7_988, id="58"),
+        pytest.param(60, 1, id="60"),
+        pytest.param(62, 2_053, id="62"),
+        pytest.param(64, 1, id="64"),
+        pytest.param(66, 866, id="66"),
+        pytest.param(68, 12_432, id="68"),
+        pytest.param(88, 20_794, id="88"),
+        pytest.param(128, 31_882, id="128"),
     ],
 )
 def test_serial_node_counts_are_pinned(n, nodes):

@@ -28,9 +28,21 @@ KnodelGraph.near_masks entry.  Three prunes cut the tree:
 
 Symmetry: the index rotation i -> i+1 on both sides and the swap
 u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
-they are automorphisms and W(delta, n) is vertex-transitive for every delta.
-Any minimum dominating set can therefore be mapped onto one containing u_1,
-and the search starts with u_1 (slot 0) already chosen.
+they are automorphisms.  Take a dominating set D with |D| = k < h = n/2.
+Both sides meet D, since no vertex has a neighbour on its own side, so a
+set inside one side must hold all of that side; the swap
+puts D's smaller side on U, so D has at most floor(k/2) u-members, and a
+rotation moves a u-member that opens a largest cyclic u-gap to u_1, so
+u_2 .. u_G are outside D with G = ceil(h / floor(k/2)).  solve_exact seeks
+sets with k <= bound - 1, so it starts with u_1 (slot 0) chosen, drops
+u_2 .. u_G from the pool and caps the u-side picks at floor((bound-1)/2),
+with bound the greedy incumbent's size; it applies the cut only when that
+cap is at least 1 and bound - 1 < h.  The bipartite test bounds its u-side
+share a by the cap less the u-picks so far, carried down as upicks, and a
+node at the cap drops its u-side candidates.  The cap is fixed at the root,
+not lowered with the bound, so whether a subtree reaches a set below its
+bound does not depend on that bound.  canonical_certificate fixes prefixes, which a
+rotation does not preserve, so its searches run without the cut.
 
 Every solve runs through one root-task runner: the u_1 node is probed once
 and each of its branches becomes a root task.  With one worker the tasks run
@@ -111,12 +123,15 @@ class _Search:
         best_slots: tuple[int, ...] | None,
         deadline: float | None,
         stop_on_first: bool = False,
+        u_cap: int | None = None,
     ):
         self.cover = g.cover_masks
         self.near = g.near_masks
         self.closed_cover = g.closed_cover
         self.full = g.full_mask
         self.u_mask = g.u_mask
+        self.half = g.half
+        self.u_cap = g.half if u_cap is None else u_cap  # most u-side slots in a set
         self.delta = g.delta
         self.dd = g.delta + 1
         self.bound = bound
@@ -127,11 +142,12 @@ class _Search:
         self.next_check = 1024  # a threshold: closed children count in batches
 
     def branch_slots(
-        self, covered: int, near: int, pool: int, planes: list[int], size: int
+        self, covered: int, near: int, pool: int, planes: list[int], size: int, upicks: int
     ):
         """Undominated count and (new cover, -slot) candidates covering the
         pivot, descending, ties to the lower slot; None if closed (pruned or
-        already dominated).  near is closed_cover(covered)."""
+        already dominated).  near is closed_cover(covered) and upicks the
+        number of u-side slots chosen."""
         self.nodes += 1
         if self.nodes >= self.next_check and self.deadline is not None:
             self.next_check = self.nodes + 1024
@@ -142,9 +158,10 @@ class _Search:
         m = und.bit_count()
         uu = (und & self.u_mask).bit_count()
         uv = m - uu
+        ucap = self.u_cap - upicks
         d1 = self.delta - 1
         if d1 > 0:
-            hi = min(budget, (self.delta * budget - uu) // d1)
+            hi = min(budget, ucap, (self.delta * budget - uu) // d1)
             if hi < 0 or -(-(uv - budget) // d1) > hi:
                 return None
         elif uu > budget or uv > budget:
@@ -163,6 +180,8 @@ class _Search:
         cover = self.cover
         members = []
         pm = cover[low.bit_length() - 1] & pool
+        if not ucap:
+            pm &= ~self.u_mask
         while pm:
             low = pm & -pm
             slot = low.bit_length() - 1
@@ -178,6 +197,7 @@ class _Search:
         pool: int,
         planes: list[int],
         size: int,
+        upicks: int,
         chosen: tuple,
     ) -> None:
         if covered == self.full:
@@ -187,7 +207,7 @@ class _Search:
                 if self.stop_on_first:
                     raise _FoundAny
             return
-        node = self.branch_slots(covered, near, pool, planes, size)
+        node = self.branch_slots(covered, near, pool, planes, size, upicks)
         if node is None:
             return
         m, members = node
@@ -210,22 +230,23 @@ class _Search:
                 pool,
                 planes,
                 size + 1,
+                upicks + (slot < self.half),
                 chosen + (slot,),
             )
 
 
 def _run_tasks(
-    job: tuple[KnodelGraph, int, tuple[int, ...], float | None, list[tuple]],
+    job: tuple[KnodelGraph, int, tuple[int, ...], float | None, int, list[tuple]],
 ) -> tuple[int, tuple[int, ...], int, bool]:
     """Run root tasks in order on one search, carrying the bound forward.
 
     Returns (bound, slots, nodes, timed_out).
     """
-    g, bound, best_slots, deadline, tasks = job
-    search = _Search(g, bound, best_slots, deadline)
+    g, bound, best_slots, deadline, u_cap, tasks = job
+    search = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
     try:
-        for covered, near, pool, size, chosen in tasks:
-            search.run(covered, near, pool, g.cover_counts(pool), size, chosen)
+        for covered, near, pool, size, upicks, chosen in tasks:
+            search.run(covered, near, pool, g.cover_counts(pool), size, upicks, chosen)
     except _Timeout:
         return search.bound, search.best_slots, search.nodes, True
     return search.bound, search.best_slots, search.nodes, False
@@ -252,25 +273,32 @@ def solve_exact(
     best_slots = tuple(_positions(greedy_upper_bound(g).mask))
     bound = len(best_slots)
 
-    # Vertex-transitivity lets u_1 (slot 0) start in the set; a lone u_1
-    # dominates only W(1, 2), where greedy already found the optimum.
+    # The symmetry cut for sets of size <= bound - 1, when it applies; else
+    # a cap of half is no cap and G = 1 leaves only u_1 out of the pool.  A
+    # lone u_1 dominates only W(1, 2), where greedy already found the optimum.
+    u_cap = (bound - 1) // 2
+    if not 1 <= u_cap or bound - 1 >= g.half:
+        u_cap = g.half
+    gap = -(-g.half // u_cap)
+    pool = g.full_mask >> gap << gap
     cover, near = g.cover_masks, g.near_masks
-    probe = _Search(g, bound, best_slots, deadline)
-    pool = g.full_mask ^ 1
+    probe = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
     tasks = []
-    root = probe.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1)
+    root = probe.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1)
     for _, neg in root[1] if root else ():
         slot = -neg
         pool ^= 1 << slot
-        tasks.append((cover[0] | cover[slot], near[0] | near[slot], pool, 2, (0, slot)))
+        tasks.append(
+            (cover[0] | cover[slot], near[0] | near[slot], pool, 2, 1 + (slot < g.half), (0, slot))
+        )
 
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        results = [_run_tasks((g, bound, best_slots, deadline, tasks))]
+        results = [_run_tasks((g, bound, best_slots, deadline, u_cap, tasks))]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(g, bound, best_slots, deadline, [task]) for task in tasks]
+        jobs = [(g, bound, best_slots, deadline, u_cap, [task]) for task in tasks]
         with ProcessPoolExecutor(max_workers=workers) as executor:
             results = list(executor.map(_run_tasks, jobs))
     # Results are combined in branch order with a strict improvement rule,
@@ -348,7 +376,7 @@ def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:
     """Whether some <= budget picks from pool extend covered to everything."""
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, g.closed_cover(covered), pool, g.cover_counts(pool), 0, ())
+        search.run(covered, g.closed_cover(covered), pool, g.cover_counts(pool), 0, 0, ())
     except _FoundAny:
         return True
     return search.best_slots is not None

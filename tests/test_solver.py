@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import os
 import random
 
@@ -21,6 +24,17 @@ from knodel.solver import _pivot, _Search
 VALID_UP_TO_64 = [
     (delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)
 ]
+OTHER_SIDE = {Side.U: Side.V, Side.V: Side.U}
+
+
+def rotate(half, x):
+    """u_i -> u_{i+1} and v_j -> v_{j+1}."""
+    return Vertex(x.side, x.index % half + 1)
+
+
+def swap(half, x):
+    """u_i <-> v_{-i}, indices mod half."""
+    return Vertex(OTHER_SIDE[x.side], (-x.index - 1) % half + 1)
 
 
 @pytest.mark.parametrize("n,value", [(16, 4), (26, 7), (36, 8), (48, 12)])
@@ -111,9 +125,9 @@ def test_time_budget_must_be_a_non_negative_number(budget):
 
 
 def test_exhausted_budget_reports_bounds_not_value():
-    # Residues 8 and 2: both searches outlast the first deadline check,
-    # which has to fire although closed children are counted in batches.
-    for n in (48, 62):
+    # Both searches outlast the first deadline check, which has to fire
+    # although closed children are counted in batches.
+    for n in (88, 108):
         g = build_graph(4, n)
         result = solve_exact(g, time_budget=1e-9)
         assert not result.is_exact
@@ -161,30 +175,59 @@ def test_canonical_certificate_rejects_impossible_size():
 @pytest.mark.parametrize("delta,n", VALID_UP_TO_64)
 def test_rotation_and_side_swap_are_automorphisms(delta, n):
     g = build_graph(delta, n)
-    half = g.half
-    other = {Side.U: Side.V, Side.V: Side.U}
-
-    def rotate(x):
-        return Vertex(x.side, x.index % half + 1)
-
-    def swap(x):
-        return Vertex(other[x.side], (-x.index - 1) % half + 1)
-
-    for phi in (rotate, swap):
+    for phi in (lambda x: rotate(g.half, x), lambda x: swap(g.half, x)):
         assert sorted(phi(x) for x in g.vertices()) == sorted(g.vertices())
         for x in g.vertices():
             assert {phi(y) for y in neighbors(g, x)} == neighbors(g, phi(x))
 
 
+@pytest.mark.parametrize(
+    "delta,n",
+    [(2, n) for n in range(8, 15, 2)]
+    + [(3, n) for n in range(16, 21, 2)]
+    + [(4, n) for n in range(16, 23, 2)],
+)
+def test_some_image_of_each_small_dominating_set_meets_the_cut(delta, n):
+    # The symmetry cut keeps, of a dominating set D with |D| = k < n/2, only
+    # images that hold u_1, at most floor(k/2) u-vertices and none of
+    # u_2 .. u_G, G = ceil(h / floor(k/2)); every D must keep one.
+    g = build_graph(delta, n)
+    h, cover = g.half, g.cover_masks
+    gamma = brute_force_min(g, h).value
+    assert 2 <= gamma < h
+    dominating = 0
+    for k in range(2, gamma + 1):  # no single vertex dominates, as gamma >= 2
+        gap = -(-h // (k // 2))
+        for combo in itertools.combinations(range(g.n), k):
+            if functools.reduce(operator.or_, (cover[s] for s in combo)) != g.full_mask:
+                continue
+            dominating += 1
+            image = [g.vertex_at(s) for s in combo]
+            kept = False
+            for _ in range(2):
+                for _ in range(h):
+                    image = [rotate(h, x) for x in image]
+                    u_indices = {x.index for x in image if x.side is Side.U}
+                    kept = kept or (
+                        1 in u_indices
+                        and len(u_indices) <= k // 2
+                        and not u_indices & set(range(2, gap + 1))
+                    )
+                image = [swap(h, x) for x in image]
+            assert kept, f"no image of slots {combo} meets the cut"
+    assert dominating > 0
+
+
 def test_fixing_u1_keeps_the_plain_search_value():
     # Reference: the same branch and bound started from the empty root, with
-    # no vertex fixed, seeded with the same greedy incumbent.
+    # no vertex fixed and no symmetry cut, seeded with the same greedy
+    # incumbent.
     failures = []
     for delta, n in VALID_UP_TO_64:
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, ())
+        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0, ())
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -194,27 +237,30 @@ def test_fixing_u1_keeps_the_plain_search_value():
 @pytest.mark.parametrize(
     "n,nodes",
     [
-        pytest.param(38, 2_938, id="38"),
-        pytest.param(48, 4_705, id="48"),
-        pytest.param(58, 7_988, id="58"),
+        pytest.param(38, 1_186, id="38"),
+        pytest.param(48, 783, id="48"),
+        pytest.param(58, 1_417, id="58"),
         pytest.param(60, 1, id="60"),
-        pytest.param(62, 2_053, id="62"),
+        pytest.param(62, 125, id="62"),
         pytest.param(64, 1, id="64"),
-        pytest.param(66, 866, id="66"),
-        pytest.param(68, 12_432, id="68"),
-        pytest.param(88, 20_794, id="88"),
-        pytest.param(128, 31_882, id="128"),
+        pytest.param(66, 320, id="66"),
+        pytest.param(68, 2_214, id="68"),
+        pytest.param(88, 4_472, id="88"),
+        pytest.param(128, 9_721, id="128"),
     ],
 )
 def test_serial_node_counts_are_pinned(n, nodes):
     # Residue 8 grew about as n^4 without the forced-waste prune (88: 140,518;
-    # 128: 567,315), and grows about linearly with it.
+    # 128: 567,315), and grows about linearly with it; the symmetry cut took
+    # 88 from 20,794 and 128 from 31,882.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
 
 
-@pytest.mark.parametrize("cpus,expected", [(1, []), (4, [4]), (64, [5])])
+@pytest.mark.parametrize("cpus,expected", [(1, []), (2, [2]), (64, [3])])
 def test_worker_count_is_clamped(pool_sizes, monkeypatch, cpus, expected):
-    # W(4, 38) has five root tasks below the u_1 node.
+    # W(4, 38) has three root tasks below the u_1 node (under the symmetry
+    # cut no valid W(delta, n) with delta <= 6 and n <= 300 has five): two
+    # CPUs clamp the pool below the task count, and 64 CPUs are clamped to it.
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     g = build_graph(4, 38)
     result = solve_exact(g, workers=10**6)
@@ -245,12 +291,14 @@ def scan_pivot(search, und, pool):
     return pivot, best_count
 
 
-def scan_branch_slots(search, covered, pool, size, forced_waste=True):
+def scan_branch_slots(search, covered, pool, size, upicks, forced_waste=True):
     """Reference node: the ordered candidate slots, or None if closed.
 
-    The prunes as first written, the forced-waste one from its definition
-    unless forced_waste is false, then the pivot scan over every undominated
-    vertex with an AND and a bit count each.
+    The prunes as first written, the bipartite one as a search over splits
+    with the symmetry cut's cap on u-side picks, the forced-waste one from
+    its definition unless forced_waste is false, then the pivot scan over
+    every undominated vertex with an AND and a bit count each; u-side
+    candidates go once upicks reaches the cap.
     """
     und = search.full & ~covered
     if und == 0:
@@ -264,16 +312,13 @@ def scan_branch_slots(search, covered, pool, size, forced_waste=True):
         return None
     uu = (und & search.u_mask).bit_count()
     uv = (und & ~search.u_mask).bit_count()
-    d1 = search.delta - 1
-    if d1 > 0:
-        lo = 0 if uv <= budget else -(-(uv - budget) // d1)
-        hi_num = search.delta * budget - uu
-        if hi_num < 0:
-            return None
-        hi = min(budget, hi_num // d1)
-        if lo > hi:
-            return None
-    elif uu > budget or uv > budget:
+    # a u-side picks cover at most delta*a v-side vertices and a u-side ones,
+    # and the set may hold at most u_cap u-side slots.
+    delta = search.delta
+    if not any(
+        delta * a + (budget - a) >= uv and a + delta * (budget - a) >= uu
+        for a in range(min(budget, search.u_cap - upicks) + 1)
+    ):
         return None
     cover = search.cover
     if forced_waste:
@@ -292,7 +337,7 @@ def scan_branch_slots(search, covered, pool, size, forced_waste=True):
     members = sorted(
         ((cover[s] & und).bit_count(), -s)
         for s in range(len(cover))
-        if (cover[pivot] & pool) >> s & 1
+        if (cover[pivot] & pool) >> s & 1 and (s >= search.half or upicks < search.u_cap)
     )
     return [-neg for _, neg in reversed(members)]
 
@@ -306,8 +351,10 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
     # Random (covered, pool, size, bound) states; pools from full to sparse
     # give every pivot count, and covers from none to one whole side make
     # each prune, the bipartite one included, close some of the states.
+    # u-side caps range from none to already reached.
     g = build_graph(delta, n)
     rng = random.Random(n * 10 + delta)
+    caps = random.Random(-(n * 10 + delta))  # the cap's draws leave rng's states as they were
     for _ in range(40):
         dense, sparse = rng.getrandbits(n), rng.getrandbits(n) & rng.getrandbits(n)
         covered = rng.choice((0, dense, sparse, g.u_mask, g.full_mask ^ g.u_mask))
@@ -315,7 +362,9 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         for _ in range(rng.randint(0, 2)):
             pool &= rng.getrandbits(n)
         size = rng.randint(0, 3)
-        search = _Search(g, size + rng.randint(1, n), None, None)
+        upicks = caps.randint(0, size)
+        u_cap = caps.choice((None, upicks, upicks + caps.randint(1, 3)))
+        search = _Search(g, size + rng.randint(1, n), None, None, u_cap=u_cap)
         planes = g.cover_counts(pool)
         counts = [(c & pool).bit_count() for c in g.cover_masks]
         assert plane_counts(planes, n) == counts
@@ -324,8 +373,8 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         if und:
             pivot, count = scan_pivot(search, und, pool)
             assert _pivot(und, planes) == (count and 1 << pivot)
-        expected = scan_branch_slots(search, covered, pool, size)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size)
+        expected = scan_branch_slots(search, covered, pool, size, upicks)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, upicks)
         if expected is None:
             assert got is None
         else:
@@ -384,11 +433,11 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         size = rng.randint(0, 2)
         search = _Search(g, size + 1 + budget, None, None)
         planes = g.cover_counts(pool)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, 0)
         assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
-            search, covered, pool, size
+            search, covered, pool, size, 0
         )
-        if got is None and scan_branch_slots(search, covered, pool, size, False) is not None:
+        if got is None and scan_branch_slots(search, covered, pool, size, 0, False) is not None:
             closed_by_rule += 1
             assert not has_completion(g, covered, pool, budget)
     assert closed_by_rule > 0
@@ -402,15 +451,19 @@ class CheckedSearch(_Search):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def branch_slots(self, covered, near, pool, planes, size):
+    def run(self, covered, near, pool, planes, size, upicks, chosen):
+        assert upicks == sum(slot < self.half for slot in chosen) <= self.u_cap
+        super().run(covered, near, pool, planes, size, upicks, chosen)
+
+    def branch_slots(self, covered, near, pool, planes, size, upicks):
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
         m, dd = (self.full & ~covered).bit_count(), self.delta + 1
         assert size <= 2 or size + -(-m // dd) < self.bound
-        expected = scan_branch_slots(self, covered, pool, size)
-        got = super().branch_slots(covered, near, pool, planes, size)
+        expected = scan_branch_slots(self, covered, pool, size, upicks)
+        got = super().branch_slots(covered, near, pool, planes, size, upicks)
         assert (got and [-neg for _, neg in got[1]]) == expected
         return got
 

@@ -29,20 +29,20 @@ KnodelGraph.near_masks entry.  Three prunes cut the tree:
 Symmetry: the index rotation i -> i+1 on both sides and the swap
 u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
 they are automorphisms.  Take a dominating set D with |D| = k < h = n/2.
-Both sides meet D, since no vertex has a neighbour on its own side, so a
-set inside one side must hold all of that side; the swap
-puts D's smaller side on U, so D has at most floor(k/2) u-members, and a
-rotation moves a u-member that opens a largest cyclic u-gap to u_1, so
-u_2 .. u_G are outside D with G = ceil(h / floor(k/2)).  solve_exact seeks
-sets with k <= bound - 1, so it starts with u_1 (slot 0) chosen, drops
-u_2 .. u_G from the pool and caps the u-side picks at floor((bound-1)/2),
-with bound the greedy incumbent's size; it applies the cut only when that
-cap is at least 1 and bound - 1 < h.  The bipartite test bounds its u-side
-share a by the cap less the u-picks so far, carried down as upicks, and a
-node at the cap drops its u-side candidates.  The cap is fixed at the root,
-not lowered with the bound, so whether a subtree reaches a set below its
-bound does not depend on that bound.  canonical_certificate fixes prefixes, which a
-rotation does not preserve, so its searches run without the cut.
+Both sides meet D, since no vertex has a neighbour on its own side, so a set
+inside one side must hold all of that side.  The swap puts D's smaller side
+on U, so D has at most floor(k/2) u-members, and a rotation moves a u-member
+that opens a largest cyclic u-gap to u_1, so u_2 .. u_G are outside D with
+G = ceil(h / floor(k/2)).  solve_exact seeks sets with k <= bound - 1, so it
+starts with u_1 (slot 0) chosen, drops u_2 .. u_G from the pool and caps the
+u-side picks at floor((bound-1)/2), with bound the greedy incumbent's size;
+it applies the cut only when that cap is at least 1 and bound - 1 < h.  The
+bipartite test bounds its u-side share a by the cap less the u-picks so far,
+carried down as upicks, and a node at the cap drops its u-side candidates.
+The cap is fixed at the root, not lowered with the bound, so whether a
+subtree reaches a set below its bound does not depend on that bound.
+canonical_certificate fixes prefixes, which a rotation does not preserve, so
+its searches run without the cut.
 
 Every solve runs through one root-task runner: the u_1 node is probed once
 and each of its branches becomes a root task.  With one worker the tasks run

@@ -15,21 +15,21 @@ solver modules use to index bitmasks.
 
 No other module reads the offsets.  KnodelGraph.neighbor_slots is the rule
 for one slot, in offset order.  The rule depends only on j - i, so
-W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the only mask form of
-the rule, yields a set and its delta cyclic shifts per half, in time linear
-in n.  closed_cover ORs them for the verifier, which builds no per-vertex
-table; cover_counts sums them into bit planes of neighbour counts for greedy
-and the solver.  The solver's per-slot tables, cover_masks and near_masks
-(radius one and two), are built once per graph.  Index distances and gap
-sequences are in sequences.py.
+W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the mask form of the
+rule, yields a set and its delta cyclic shifts per half, in time linear in
+n.  cover_counts sums them into bit planes of neighbour counts for greedy
+and the solver.  closed_cover, their union, is the verifier's one call and
+the solver's forced-waste test, so it ORs the shifts in its own loop.  The
+solver's per-slot tables, cover_masks and near_masks (radius one and two),
+are built once per graph.  Index distances and gap sequences are in
+sequences.py.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterator
 
 __all__ = [
@@ -147,8 +147,21 @@ class KnodelGraph:
         return (1 << self.half) - 1
 
     def closed_cover(self, mask: int) -> int:
-        """Closed neighbourhood of a slot bitmask, as a slot bitmask."""
-        return reduce(or_, self.cover_terms(mask))
+        """Closed neighbourhood of a slot bitmask, as a slot bitmask.
+
+        The union of cover_terms, with the rotations of each doubled half
+        ORed before the one mask and shift that place it.
+        """
+        half = self.half
+        su = mask & self.u_mask
+        sv = mask >> half
+        su2 = su << half | su
+        sv2 = sv << half | sv
+        to_u = to_v = 0
+        for off in self.offsets:
+            to_u |= sv2 >> off
+            to_v |= su2 >> (half - off)
+        return mask | to_u & self.u_mask | (to_v & self.u_mask) << half
 
     def cover_terms(self, mask: int) -> Iterator[int]:
         """mask, then mask rotated by each offset: delta + 1 slot bitmasks.

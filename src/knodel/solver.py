@@ -6,9 +6,9 @@ on every candidate that could cover x; candidates consumed by earlier
 siblings are dropped from later ones, so each dominating set is enumerated
 once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
 read at a search root from KnodelGraph.cover_counts and lowered by a borrow
-chain as slots leave the pool, so the pivot is read without a scan.  Each
-node also carries near = closed_cover(covered), grown by the pick's
-KnodelGraph.near_masks entry.  Three prunes cut the tree:
+chain (_without) as slots leave the pool, so the pivot is read without a
+scan.  Each node also carries near = closed_cover(covered), grown by the
+pick's KnodelGraph.near_masks entry.  Three prunes cut the tree:
 
 * bipartite counting, at each node: a u-side pick covers at most delta
   undominated v-side vertices and one u-side vertex (and symmetrically), so
@@ -41,8 +41,14 @@ bipartite test bounds its u-side share a by the cap less the u-picks so far,
 carried down as upicks, and a node at the cap drops its u-side candidates.
 The cap is fixed at the root, not lowered with the bound, so whether a
 subtree reaches a set below its bound does not depend on that bound.
-canonical_certificate fixes prefixes, which a rotation does not preserve, so
-its searches run without the cut.
+
+Canonical certificates: canonical_certificate fixes one position at a time
+to the lowest slot whose prefix a bounded search can complete.  Prefixes
+are not preserved by a rotation, so its searches run without the cut.  The
+scan builds the bit planes once and lowers them with _without, the search's
+borrow chain, as it passes each slot; it ORs near masks onto the prefix's
+near.  The last completion found is kept as a witness: its lowest slot can
+be completed, so the scan searches only the slots below it.
 
 Every solve runs through one root-task runner: the u_1 node is probed once
 and each of its branches becomes a root task.  With one worker the tasks run
@@ -111,6 +117,16 @@ def _pivot(und: int, planes: list[int]) -> int:
         if low & ~plane:
             low &= ~plane
     return low & -low
+
+
+def _without(planes: list[int], mask: int) -> list[int]:
+    """Bit planes of the counts less one for every slot in mask: a borrow
+    chain.  Every slot in mask must have a count of at least one."""
+    child = []
+    for plane in planes:
+        child.append(plane ^ mask)
+        mask &= ~plane
+    return child
 
 
 class _Search:
@@ -219,11 +235,7 @@ class _Search:
                 return
             slot = -neg
             pool ^= 1 << slot
-            borrow, child = cover[slot], []
-            for plane in planes:
-                child.append(plane ^ borrow)
-                borrow &= ~plane
-            planes = child
+            planes = _without(planes, cover[slot])
             self.run(
                 covered | cover[slot],
                 near | self.near[slot],
@@ -351,32 +363,62 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     Smallest under comparison of ascending slot tuples, i.e. preferring low
     u-side indices, then low v-side indices.  size must be at least the
     domination number.  Vertex-transitivity puts u_1 in some minimum
-    dominating set, so slot 0 is taken without a search; every later slot is
-    fixed by testing completability with a bounded search.
+    dominating set, so slot 0 is taken without a search; every later
+    position takes the lowest slot that a bounded search can complete.
+
+    A slot is completable when at most r more picks from the slots above it
+    complete the set, r being the positions left after it; slots stop r
+    below n, so such a completion pads to exactly r.  The scan keeps one
+    pool, the slots above the last one it passed, with its bit planes.  The
+    last completion found is the witness.  A completion for slot t uses only
+    slots above t, so if it fills all r positions, its lowest slot w is
+    completable at the next position by the rest of it: the scan searches
+    only the slots below w and, if none succeeds, takes w without a search.
+    A completion with fewer picks (possible only above the domination
+    number) is not trusted, and the next position searches every slot.
     """
-    cover = g.cover_masks
+    cover, near_masks = g.cover_masks, g.near_masks
     chosen = [0]
-    covered = cover[0]
+    covered, near = cover[0], near_masks[0]
+    pool = g.full_mask ^ 1
+    planes = g.cover_counts(pool)
+    witness: list[int] = []
     for position in range(1, size):
         remaining = size - position - 1
-        for slot in range(chosen[-1] + 1, g.n - remaining):
-            pool = g.full_mask >> (slot + 1) << (slot + 1)
-            if _completable(g, covered | cover[slot], pool, remaining):
-                chosen.append(slot)
-                covered |= cover[slot]
+        trusted = len(witness) > remaining
+        stop = witness[0] if trusted else g.n - remaining
+        for slot in range(chosen[-1] + 1, stop):
+            pool ^= 1 << slot
+            planes = _without(planes, cover[slot])
+            found = _completion(
+                g, covered | cover[slot], near | near_masks[slot], pool, planes, remaining
+            )
+            if found is not None:
+                witness = sorted(found)
                 break
         else:
-            break
+            if not trusted:
+                break
+            slot = witness.pop(0)
+            pool ^= 1 << slot
+            planes = _without(planes, cover[slot])
+        chosen.append(slot)
+        covered |= cover[slot]
+        near |= near_masks[slot]
     if len(chosen) != size or covered != g.full_mask:
         raise ValueError(f"no dominating set of size {size} exists in {g}")
     return VertexSet(g, _slots_mask(g.n, chosen))
 
 
-def _completable(g: KnodelGraph, covered: int, pool: int, budget: int) -> bool:
-    """Whether some <= budget picks from pool extend covered to everything."""
+def _completion(
+    g: KnodelGraph, covered: int, near: int, pool: int, planes: list[int], budget: int
+) -> tuple[int, ...] | None:
+    """Slots of some <= budget picks from pool that extend covered to
+    everything, or None.  near is closed_cover(covered) and planes
+    cover_counts(pool)."""
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, g.closed_cover(covered), pool, g.cover_counts(pool), 0, 0, ())
+        search.run(covered, near, pool, planes, 0, 0, ())
     except _FoundAny:
-        return True
-    return search.best_slots is not None
+        return search.best_slots
+    return None

@@ -139,16 +139,93 @@ def test_exhausted_budget_reports_bounds_not_value():
         assert len(result.certificate) == result.upper
 
 
+def lex_first(g, size):
+    """First dominating set of exactly size slots, subsets lexicographic by slot."""
+    cover = g.cover_masks
+    for combo in itertools.combinations(range(g.n), size):
+        if functools.reduce(operator.or_, (cover[s] for s in combo)) == g.full_mask:
+            return combo
+    return None
+
+
 def test_canonical_certificate_is_brute_force_first():
     # Brute force scans subsets in lexicographic slot order, so its first
-    # hit at the optimal size is exactly the canonical certificate.
-    for n in (16, 18, 20):
-        g = build_graph(4, n)
+    # hit at a size is exactly the canonical certificate.  brute_force_min
+    # stops at the optimal size; one above it a completion may use fewer
+    # picks than the positions left, and the scan drops its witness.
+    graphs = (
+        [(2, n) for n in range(4, 21, 2)]
+        + [(3, n) for n in range(8, 23, 2)]
+        + [(4, n) for n in (16, 18, 20)]
+    )
+    for delta, n in graphs:
+        g = build_graph(delta, n)
         value = solve_exact(g).value
-        oracle = brute_force_min(g, value)
-        canonical = canonical_certificate(g, value)
-        assert canonical == oracle.certificate
-        assert is_dominating(g, canonical)
+        sizes = (value, value + 1)
+        canonical = [canonical_certificate(g, size) for size in sizes]
+        assert canonical[0] == brute_force_min(g, value).certificate
+        for size, certificate in zip(sizes, canonical):
+            assert is_dominating(g, certificate)
+            assert tuple(g.slot(x) for x in certificate) == lex_first(g, size), (delta, n, size)
+
+
+def scan_canonical(g, size):
+    """Reference: the per-slot scan the witness replaced, with a fresh
+    search, closed_cover and bit planes for every candidate slot; the
+    ascending slots, or None when no set of that size dominates."""
+    cover = g.cover_masks
+    chosen, covered = [0], cover[0]
+    for position in range(1, size):
+        remaining = size - position - 1
+        for slot in range(chosen[-1] + 1, g.n - remaining):
+            trial, pool = covered | cover[slot], g.full_mask >> (slot + 1) << (slot + 1)
+            search = _Search(g, remaining + 1, None, None, stop_on_first=True)
+            try:
+                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0, ())
+            except knodel.solver._FoundAny:
+                chosen.append(slot)
+                covered = trial
+                break
+        else:
+            return None
+    return tuple(chosen) if len(chosen) == size and covered == g.full_mask else None
+
+
+@pytest.mark.parametrize(
+    "delta,n", VALID_UP_TO_64 + [pytest.param(4, n, id=f"4-{n}") for n in range(66, 91, 2)]
+)
+def test_canonical_certificate_matches_per_slot_scan(delta, n):
+    g = build_graph(delta, n)
+    value = solve_exact(g).value
+    for size in (value, value + 1):
+        canonical = canonical_certificate(g, size)
+        assert tuple(g.slot(x) for x in canonical) == scan_canonical(g, size), size
+
+
+def test_canonical_search_count_is_pinned(monkeypatch):
+    # Over gamma-exact's orders at gamma, the per-slot scan ran 1,965
+    # completability searches (413 successful, 35,415 nodes).  The witness
+    # vouches for the slot the scan would have found, so only the searches
+    # below it run.
+    found, searches = [], []
+    completion = knodel.solver._completion
+
+    def counted(*args):
+        slots = completion(*args)
+        found.append(slots is not None)
+        return slots
+
+    class RecordedSearch(_Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(knodel.solver, "_completion", counted)
+    monkeypatch.setattr(knodel.solver, "_Search", RecordedSearch)
+    for n in range(16, 91, 2):
+        canonical_certificate(build_graph(4, n), gamma_formula(n).value)
+    assert (len(found), sum(found)) == (1_620, 68)
+    assert sum(search.nodes for search in searches) == 33_573
 
 
 def test_canonical_certificate_not_above_default_certificate():
@@ -478,3 +555,15 @@ def test_carried_planes_and_kernel_hold_at_every_node(monkeypatch, delta, n):
     checked = solve_exact(g)
     assert checked.nodes_explored == plain.nodes_explored
     assert checked.certificate == plain.certificate
+
+
+@pytest.mark.parametrize("delta,n", [(1, 10), (2, 22), (3, 30), (4, 26), (4, 38), (5, 32)])
+def test_canonical_scan_carries_planes_and_near_to_every_search(monkeypatch, delta, n):
+    # The scan lowers one set of bit planes slot by slot and ORs near masks
+    # onto the prefix's; every node of every search checks them.
+    g = build_graph(delta, n)
+    value = solve_exact(g).value
+    sizes = (value, value + 1)
+    plain = [canonical_certificate(g, size) for size in sizes]
+    monkeypatch.setattr(knodel.solver, "_Search", CheckedSearch)
+    assert [canonical_certificate(g, size) for size in sizes] == plain

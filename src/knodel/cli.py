@@ -7,15 +7,13 @@ on stderr.  Dominating sets travel as JSON documents
 {"n": ..., "delta": ..., "u": [...], "v": [...]} with sorted, deduplicated
 1-based index arrays; verify is the only command that reads a document.
 export writes W(delta, n) as dot, an edge list or a JSON adjacency object,
-for other tools; nothing here parses them back.  KNODEL_THREADS sets the
-solver worker count for the gamma and sweep commands (default 1).
+for other tools; nothing here parses them back.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,19 +29,6 @@ __all__ = ["main"]
 
 # The largest order verify, construct and sweep accept: each builds n-bit masks.
 _MAX_ORDER = 2**21
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("KNODEL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"KNODEL_THREADS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -99,13 +84,12 @@ def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
 def _cmd_gamma(args: argparse.Namespace) -> int:
     if args.canonical and args.method == "formula":
         raise ValueError("--canonical needs --method exact or both")
-    workers = _workers_from_env()
     doc: dict[str, object] = {"n": args.n, "delta": 4}
     if args.method in ("formula", "both"):
         doc["formula"] = gamma_formula(args.n).value
     if args.method in ("exact", "both"):
         g = build_graph(4, args.n)
-        result = solve_exact(g, workers=workers)
+        result = solve_exact(g)
         certificate = result.certificate
         if args.canonical:
             certificate = canonical_certificate(g, result.value)
@@ -154,7 +138,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     if args.stop > _MAX_ORDER:
         raise ValueError(f"--to {args.stop} exceeds the order limit {_MAX_ORDER}")
-    workers = _workers_from_env()
     rows = ["n,formula,exact,agree,construct_ok,elapsed_ms"]
     any_failure = False
     for n in range(args.start, args.stop + 2, 2):
@@ -163,7 +146,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         exact = "unknown"
         agree = ""
         if args.budget != 0:
-            result = solve_exact(build_graph(4, n), time_budget=args.budget, workers=workers)
+            result = solve_exact(build_graph(4, n), time_budget=args.budget)
             if result.is_exact:
                 exact = str(result.value)
                 agree = "true" if result.value == formula else "false"

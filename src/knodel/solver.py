@@ -50,21 +50,13 @@ borrow chain, as it passes each slot; it ORs near masks onto the prefix's
 near.  The last completion found is kept as a witness: its lowest slot can
 be completed, so the scan searches only the slots below it.
 
-Every solve runs through one root-task runner: the u_1 node is probed once
-and each of its branches becomes a root task.  With one worker the tasks run
-in process, in branch order, on a single search that carries the bound
-forward, so a repeated single-threaded run returns the identical certificate
-and node count.  Otherwise the tasks go to a process pool of at most
-min(workers, tasks, CPUs) processes and their results are combined in branch
-order under a strict improvement rule.  The branch order does not depend on
-the bound, so each task finds the first set of its subtree's minimum size and
-the fold keeps the single-threaded certificate, unless a budget runs out.
+A solve is one serial search from the u_1 node, so a repeated run returns
+the identical certificate and node count.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -247,36 +239,14 @@ class _Search:
             )
 
 
-def _run_tasks(
-    job: tuple[KnodelGraph, int, tuple[int, ...], float | None, int, list[tuple]],
-) -> tuple[int, tuple[int, ...], int, bool]:
-    """Run root tasks in order on one search, carrying the bound forward.
-
-    Returns (bound, slots, nodes, timed_out).
-    """
-    g, bound, best_slots, deadline, u_cap, tasks = job
-    search = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
-    try:
-        for covered, near, pool, size, upicks, chosen in tasks:
-            search.run(covered, near, pool, g.cover_counts(pool), size, upicks, chosen)
-    except _Timeout:
-        return search.bound, search.best_slots, search.nodes, True
-    return search.bound, search.best_slots, search.nodes, False
-
-
-def solve_exact(
-    g: KnodelGraph, time_budget: float | None = None, workers: int = 1
-) -> SolveResult:
+def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult:
     """Minimum dominating set of g, seeded with the greedy incumbent.
 
     time_budget is a wall-clock limit in seconds; on expiry the result has
-    value None and carries the best bounds proved so far.  workers > 1
-    distributes the root branches over at most that many processes, never
-    more than there are root branches or CPUs; the value and certificate are
-    those of a single-threaded run.
+    value None and carries the best bounds proved so far.  The search is
+    serial and deterministic: a repeated run returns the same certificate
+    and node count.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time_budget must be None or >= 0, got {time_budget}")
     start = time.perf_counter()
@@ -293,42 +263,17 @@ def solve_exact(
         u_cap = g.half
     gap = -(-g.half // u_cap)
     pool = g.full_mask >> gap << gap
-    cover, near = g.cover_masks, g.near_masks
-    probe = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
-    tasks = []
-    root = probe.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1)
-    for _, neg in root[1] if root else ():
-        slot = -neg
-        pool ^= 1 << slot
-        tasks.append(
-            (cover[0] | cover[slot], near[0] | near[slot], pool, 2, 1 + (slot < g.half), (0, slot))
-        )
-
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [_run_tasks((g, bound, best_slots, deadline, u_cap, tasks))]
+    search = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
+    try:
+        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 1, (0,))
+    except _Timeout:
+        value, lower = None, degree_lower
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(g, bound, best_slots, deadline, u_cap, [task]) for task in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            results = list(executor.map(_run_tasks, jobs))
-    # Results are combined in branch order with a strict improvement rule,
-    # which reproduces the single-threaded value and certificate.
-    nodes = probe.nodes
-    timed_out = False
-    for sub_bound, sub_slots, sub_nodes, sub_timed_out in results:
-        nodes += sub_nodes
-        timed_out = timed_out or sub_timed_out
-        if sub_bound < bound:
-            bound = sub_bound
-            best_slots = sub_slots
+        value = lower = search.bound
 
     elapsed = time.perf_counter() - start
-    certificate = VertexSet(g, _slots_mask(g.n, best_slots))
-    if timed_out:
-        return SolveResult(None, degree_lower, bound, certificate, nodes, elapsed)
-    return SolveResult(bound, bound, bound, certificate, nodes, elapsed)
+    certificate = VertexSet(g, _slots_mask(g.n, search.best_slots))
+    return SolveResult(value, lower, search.bound, certificate, search.nodes, elapsed)
 
 
 def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:

@@ -46,8 +46,7 @@ def test_library_block_passes_doctest():
         "knodel enum-seq --k 3 --total 13 --exact-in-m 2 --adj-max 0 --expect 5",
     ],
 )
-def test_cli_transcript_matches_main(capsys, monkeypatch, command):
-    monkeypatch.delenv("KNODEL_THREADS", raising=False)
+def test_cli_transcript_matches_main(capsys, command):
     expected = transcripts()[command]
     assert main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out.splitlines() == expected

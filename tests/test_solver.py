@@ -1,7 +1,6 @@
 import functools
 import itertools
 import operator
-import os
 import random
 
 import pytest
@@ -16,6 +15,7 @@ from knodel import (
     is_dominating,
     solve_exact,
 )
+from knodel.domination import _slots_mask
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _pivot, _Search
@@ -91,30 +91,62 @@ def test_single_threaded_runs_are_identical():
     assert first.nodes_explored == second.nodes_explored
 
 
+def root_task_solve(g):
+    """The serial path before the single search: (value, slots, nodes).
+
+    The u_1 node is probed once, and its branches then run in order as root
+    tasks on one search that carries the bound forward, each task starting
+    from fresh bit planes of its own pool.
+    """
+    greedy = greedy_upper_bound(g)
+    bound = len(greedy)
+    u_cap = (bound - 1) // 2
+    if not 1 <= u_cap or bound - 1 >= g.half:
+        u_cap = g.half
+    gap = -(-g.half // u_cap)
+    pool = g.full_mask >> gap << gap
+    cover, near = g.cover_masks, g.near_masks
+    search = _Search(g, bound, tuple(sorted(g.slot(x) for x in greedy)), None, u_cap=u_cap)
+    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1)
+    for _, neg in root[1] if root else ():
+        slot = -neg
+        pool ^= 1 << slot
+        search.run(
+            cover[0] | cover[slot],
+            near[0] | near[slot],
+            pool,
+            g.cover_counts(pool),
+            2,
+            1 + (slot < g.half),
+            (0, slot),
+        )
+    return search.bound, search.best_slots, search.nodes
+
+
 @pytest.mark.parametrize(
     "delta,n",
-    [pytest.param(4, n, id=str(n)) for n in range(16, 69, 2)]
-    + [(delta, n) for delta in (2, 3, 5, 6) for n in range(2**delta, 65, 2)],
+    [pytest.param(4, n, id=str(n)) for n in range(16, 201, 2)]
+    + [(delta, n) for delta, n in VALID_UP_TO_64 if delta != 4],
 )
-def test_parallel_value_matches_single_threaded(pool_sizes, monkeypatch, delta, n):
-    # Each root task finds the first set of its subtree's minimum size whatever
-    # its starting bound, so the fold keeps the serial run's certificate.  The
-    # stand-in pool runs the pooled path in process, one task per job.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_single_search_matches_the_root_task_path(delta, n):
     g = build_graph(delta, n)
-    serial = solve_exact(g)
-    parallel = solve_exact(g, workers=2)
-    assert parallel.value == serial.value
-    assert parallel.certificate == serial.certificate
-    assert is_dominating(g, parallel.certificate)
-    assert len(parallel.certificate) == parallel.value
-    if delta == 4 and n % 10 == 8:
-        assert pool_sizes == [2]
+    value, slots, nodes = root_task_solve(g)
+    result = solve_exact(g)
+    assert result.value == value
+    assert result.certificate.mask == _slots_mask(g.n, slots)
+    assert is_dominating(g, result.certificate)
+    assert len(result.certificate) == result.value
+    if (delta, n) == (1, 2):
+        # u_1 alone dominates W(1, 2), so the single search returns before
+        # it counts a node, where the probe counted one.
+        assert (nodes, result.nodes_explored) == (1, 0)
+    else:
+        assert result.nodes_explored == nodes
 
 
-def test_workers_must_be_positive():
-    with pytest.raises(ValueError):
-        solve_exact(build_graph(4, 16), workers=0)
+def test_workers_is_no_longer_a_parameter():
+    with pytest.raises(TypeError):
+        solve_exact(build_graph(4, 16), workers=2)
 
 
 @pytest.mark.parametrize("budget", [-1.0, float("nan")])
@@ -331,25 +363,6 @@ def test_serial_node_counts_are_pinned(n, nodes):
     # 128: 567,315), and grows about linearly with it; the symmetry cut took
     # 88 from 20,794 and 128 from 31,882.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
-
-
-@pytest.mark.parametrize("cpus,expected", [(1, []), (2, [2]), (64, [3])])
-def test_worker_count_is_clamped(pool_sizes, monkeypatch, cpus, expected):
-    # W(4, 38) has three root tasks below the u_1 node (under the symmetry
-    # cut no valid W(delta, n) with delta <= 6 and n <= 300 has five): two
-    # CPUs clamp the pool below the task count, and 64 CPUs are clamped to it.
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    g = build_graph(4, 38)
-    result = solve_exact(g, workers=10**6)
-    assert pool_sizes == expected
-    assert result.value == solve_exact(g).value == 10
-
-
-@pytest.mark.parametrize("n", [40, 44])
-def test_root_closing_orders_start_no_pool(pool_sizes, n):
-    result = solve_exact(build_graph(4, n), workers=10**6)
-    assert result.value == gamma_formula(n).value
-    assert pool_sizes == []
 
 
 def scan_pivot(search, und, pool):

@@ -128,7 +128,10 @@ def root_task_solve(g):
     [pytest.param(4, n, id=str(n)) for n in range(16, 201, 2)]
     + [(delta, n) for delta, n in VALID_UP_TO_64 if delta != 4],
 )
-def test_single_search_matches_the_root_task_path(delta, n):
+def test_parallel_value_matches_single_threaded(delta, n):
+    # The root tasks are the split the parallel path ran, one task per job;
+    # the single-threaded search must return their value, certificate and
+    # node count.
     g = build_graph(delta, n)
     value, slots, nodes = root_task_solve(g)
     result = solve_exact(g)

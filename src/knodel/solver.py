@@ -48,7 +48,11 @@ are not preserved by a rotation, so its searches run without the cut.  The
 scan builds the bit planes once and lowers them with _without, the search's
 borrow chain, as it passes each slot; it ORs near masks onto the prefix's
 near.  The last completion found is kept as a witness: its lowest slot can
-be completed, so the scan searches only the slots below it.
+be completed, so the scan searches only the slots below it.  A witness that
+fills every position left is replaced by the least image of prefix + witness
+under the rotations and swaps that starts with the prefix.  Automorphisms map
+dominating sets onto dominating sets of the same size, so that image is a
+witness too, and a lower one leaves fewer slots to search.
 
 A solve is one serial search from the u_1 node, so a repeated run returns
 the identical certificate and node count.
@@ -319,8 +323,13 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     slots above t, so if it fills all r positions, its lowest slot w is
     completable at the next position by the rest of it: the scan searches
     only the slots below w and, if none succeeds, takes w without a search.
-    A completion with fewer picks (possible only above the domination
-    number) is not trusted, and the next position searches every slot.
+    Such a completion is first replaced by the least image of prefix +
+    completion, under the rotations and the swap, that still starts with
+    the prefix: an automorphism's image dominates and has as many slots, so
+    the rest of it is a completion too, and its lowest slot is as low as
+    the orbit allows.  A completion with fewer picks (possible only above
+    the domination number) is not trusted, and the next position searches
+    every slot.
     """
     cover, near_masks = g.cover_masks, g.near_masks
     chosen = [0]
@@ -340,6 +349,8 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
             )
             if found is not None:
                 witness = sorted(found)
+                if len(witness) == remaining:
+                    witness = _least_image(g.half, chosen + [slot], witness)
                 break
         else:
             if not trusted:
@@ -353,6 +364,22 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     if len(chosen) != size or covered != g.full_mask:
         raise ValueError(f"no dominating set of size {size} exists in {g}")
     return VertexSet(g, _slots_mask(g.n, chosen))
+
+
+def _least_image(half: int, prefix: list[int], rest: list[int]) -> list[int]:
+    """Slots after prefix of the least ascending image of prefix + rest,
+    under the rotations and swaps, that starts with prefix.  rest ascends
+    above prefix, which starts with slot 0 (u_1); an image holds u_1 only
+    if its map takes some member there, so one map per member is tried."""
+    k, members, best = len(prefix), prefix + rest, rest
+    for s in members:
+        if s < half:  # the rotation taking slot s to u_1
+            image = sorted((x - s) % half + half * (x >= half) for x in members)
+        else:  # the swap taking slot s to u_1
+            image = sorted((s - x) % half + half * (x < half) for x in members)
+        if image[:k] == prefix and image[k:] < best:
+            best = image[k:]
+    return best
 
 
 def _completion(

@@ -18,13 +18,19 @@ from knodel import (
 from knodel.domination import _slots_mask
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
-from knodel.solver import _pivot, _Search
+from knodel.solver import _least_image, _pivot, _Search
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
     (delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)
 ]
 OTHER_SIDE = {Side.U: Side.V, Side.V: Side.U}
+# Small graphs whose minimum dominating sets are listed by brute force.
+ORBIT_GRAPHS = (
+    [(2, n) for n in range(8, 15, 2)]
+    + [(3, n) for n in range(16, 21, 2)]
+    + [(4, n) for n in range(16, 23, 2)]
+)
 
 
 def rotate(half, x):
@@ -227,12 +233,13 @@ def scan_canonical(g, size):
 
 
 @pytest.mark.parametrize(
-    "delta,n", VALID_UP_TO_64 + [pytest.param(4, n, id=f"4-{n}") for n in range(66, 91, 2)]
+    "delta,n", VALID_UP_TO_64 + [pytest.param(4, n, id=f"4-{n}") for n in range(66, 201, 2)]
 )
 def test_canonical_certificate_matches_per_slot_scan(delta, n):
+    # Above gamma-exact's orders (n > 90) only gamma itself is checked.
     g = build_graph(delta, n)
     value = solve_exact(g).value
-    for size in (value, value + 1):
+    for size in (value, value + 1) if n <= 90 else (value,):
         canonical = canonical_certificate(g, size)
         assert tuple(g.slot(x) for x in canonical) == scan_canonical(g, size), size
 
@@ -241,7 +248,9 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     # Over gamma-exact's orders at gamma, the per-slot scan ran 1,965
     # completability searches (413 successful, 35,415 nodes).  The witness
     # vouches for the slot the scan would have found, so only the searches
-    # below it run.
+    # below it run: 1,620 (68 successful, 33,573 nodes) with the last
+    # completion as found.  Its least image that keeps the prefix starts
+    # lower, so fewer searches run below it and fewer succeed.
     found, searches = [], []
     completion = knodel.solver._completion
 
@@ -259,8 +268,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     monkeypatch.setattr(knodel.solver, "_Search", RecordedSearch)
     for n in range(16, 91, 2):
         canonical_certificate(build_graph(4, n), gamma_formula(n).value)
-    assert (len(found), sum(found)) == (1_620, 68)
-    assert sum(search.nodes for search in searches) == 33_573
+    assert (len(found), sum(found)) == (1_607, 55)
+    assert sum(search.nodes for search in searches) == 23_660
 
 
 def test_canonical_certificate_not_above_default_certificate():
@@ -293,12 +302,7 @@ def test_rotation_and_side_swap_are_automorphisms(delta, n):
             assert {phi(y) for y in neighbors(g, x)} == neighbors(g, phi(x))
 
 
-@pytest.mark.parametrize(
-    "delta,n",
-    [(2, n) for n in range(8, 15, 2)]
-    + [(3, n) for n in range(16, 21, 2)]
-    + [(4, n) for n in range(16, 23, 2)],
-)
+@pytest.mark.parametrize("delta,n", ORBIT_GRAPHS)
 def test_some_image_of_each_small_dominating_set_meets_the_cut(delta, n):
     # The symmetry cut keeps, of a dominating set D with |D| = k < n/2, only
     # images that hold u_1, at most floor(k/2) u-vertices and none of
@@ -328,6 +332,35 @@ def test_some_image_of_each_small_dominating_set_meets_the_cut(delta, n):
                 image = [swap(h, x) for x in image]
             assert kept, f"no image of slots {combo} meets the cut"
     assert dominating > 0
+
+
+@pytest.mark.parametrize("delta,n", ORBIT_GRAPHS)
+def test_least_image_is_the_least_of_the_orbit(delta, n):
+    # Reference: all 2h images of each minimum dominating set holding u_1,
+    # by the label-level rotate and swap.
+    g = build_graph(delta, n)
+    h, cover = g.half, g.cover_masks
+    gamma = brute_force_min(g, h).value
+    checked = 0
+    for combo in itertools.combinations(range(g.n), gamma):
+        if combo[0] != 0:
+            break
+        if functools.reduce(operator.or_, (cover[s] for s in combo)) != g.full_mask:
+            continue
+        images, image = [], [g.vertex_at(s) for s in combo]
+        for _ in range(2):
+            for _ in range(h):
+                image = [rotate(h, x) for x in image]
+                images.append(sorted(g.slot(x) for x in image))
+            image = [swap(h, x) for x in image]
+        for k in range(1, gamma + 1):
+            prefix, rest = list(combo[:k]), list(combo[k:])
+            expected = min(im[k:] for im in images if im[:k] == prefix)
+            got = _least_image(h, prefix, rest)
+            assert got == expected, (combo, k)
+            assert functools.reduce(operator.or_, (cover[s] for s in prefix + got)) == g.full_mask
+            checked += 1
+    assert checked > 0
 
 
 def test_fixing_u1_keeps_the_plain_search_value():
@@ -583,3 +616,29 @@ def test_canonical_scan_carries_planes_and_near_to_every_search(monkeypatch, del
     plain = [canonical_certificate(g, size) for size in sizes]
     monkeypatch.setattr(knodel.solver, "_Search", CheckedSearch)
     assert [canonical_certificate(g, size) for size in sizes] == plain
+
+
+@pytest.mark.parametrize(
+    "delta,n", VALID_UP_TO_64 + [pytest.param(4, n, id=f"4-{n}") for n in range(66, 91, 2)]
+)
+def test_canonical_scan_adopts_only_valid_witnesses(monkeypatch, delta, n):
+    # Every witness the scan takes from the orbit fills the set to exactly
+    # size slots above the prefix and dominates.
+    g = build_graph(delta, n)
+    value = solve_exact(g).value
+    least_image = knodel.solver._least_image
+    calls = []
+
+    def checked(half, prefix, rest):
+        witness = least_image(half, prefix, rest)
+        calls.append(witness)
+        assert len(set(prefix + witness)) == size
+        assert all(slot > prefix[-1] for slot in witness)
+        covered = functools.reduce(operator.or_, (g.cover_masks[s] for s in prefix + witness))
+        assert covered == g.full_mask
+        return witness
+
+    monkeypatch.setattr(knodel.solver, "_least_image", checked)
+    for size in (value, value + 1):
+        canonical_certificate(g, size)
+    assert calls

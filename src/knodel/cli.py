@@ -28,6 +28,7 @@ from .solver import canonical_certificate, solve_exact
 __all__ = ["main"]
 
 # The largest order verify, construct and sweep accept: each builds n-bit masks.
+# enum-seq accepts --total up to half of it: it counts collisions in W(delta, 2 * total).
 _MAX_ORDER = 2**21
 
 
@@ -164,12 +165,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum_seq(args: argparse.Namespace) -> int:
+    if args.total > _MAX_ORDER // 2:
+        raise ValueError(f"--total {args.total} exceeds the limit {_MAX_ORDER // 2}")
     classes = enumerate_sequences(
         args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta
     )
-    for cls in classes:
-        print(",".join(str(gap) for gap in cls.canonical.gaps))
-    print(f"count {len(classes)}")
+    lines = [",".join(map(str, cls.canonical.gaps)) for cls in classes]
+    lines.append(f"count {len(classes)}")
+    print("\n".join(lines))
     if args.expect is not None and args.expect != len(classes):
         return 1
     return 0

@@ -17,11 +17,17 @@ filters:
   longer-range way to force a common neighbour).
 
 enumerate_sequences generates least rotations only, depth first in
-lexicographic order: the first gap g0 is a minimum gap, so g0 <= total // k
-and every later gap is at least g0.  A prefix is dropped once its gaps or
-adjacent sums in m_delta pass their limits, or its gaps in m_delta can no
-longer reach the exact count; a rotation check on each full sequence settles
-ties with g0.
+lexicographic order, as a fixed-density prenecklace generator over the gaps
+(Ruskey & Sawada, "An efficient algorithm for generating necklaces with fixed
+density", SIAM J. Comput. 29, 1999; Cattell, Ruskey, Sawada, Serra & Miers,
+"Fast algorithms to generate necklaces, unlabeled necklaces, and irreducible
+polynomials over GF(2)", J. Algorithms 37, 2000).  The first gap g0 is a
+minimum gap, so g0 <= total // k and every later gap is at least g0.  With p
+the length of the prefix's longest Lyndon prefix, the next gap is at least
+the one p places back, and a full sequence is its least rotation iff p
+divides k.  A prefix is dropped once its gaps or adjacent sums in m_delta
+pass their limits, or its gaps in m_delta can no longer reach the exact
+count.
 """
 
 from __future__ import annotations
@@ -203,39 +209,85 @@ def enumerate_sequences(
     # Only members <= total are looked up, and 2**a - 2**b > total once
     # a > total.bit_length(), so a larger delta adds no member that matters.
     m = m_delta(min(delta, total.bit_length() + 1))
-    # collide[d]: vertices d >= 1 apart share a neighbour; None without W(delta, 2 * total).
+    # Without W(delta, 2 * total) there are no collision counts.
     try:
         g = KnodelGraph(delta, 2 * total)
-        collide = [d and common_neighbor_predicate(g, u(1), u(1 + d)) for d in range(total)]
     except ValueError:
-        collide = None
+        g = None
+    if k == 1:
+        in_m = int(total in m)
+        if in_m != parts_in_m_exact:
+            return []
+        seq = CyclicSequence((total,), total)
+        return [SequenceClass(seq, in_m, 0, None if g is None else 0)]
+    # Bit e of close: vertices e apart, 1 <= e <= total // 2, share a
+    # neighbour.  across keeps the e < total / 2, the cyclic distances of a
+    # pair that straddles position 0.  No distance from reach on collides.
+    close = 0
+    if g is not None:
+        for e in range(1, total // 2 + 1):
+            if common_neighbor_predicate(g, u(1), u(1 + e)):
+                close |= 1 << e
+    across = close & ((1 << (total + 1) // 2) - 1)
+    reach = close.bit_length()
+    keep = (1 << reach) - 1
     classes = []
-    # Depth first over (prefix, remaining, gaps in m, adjacent sums in m);
-    # children are pushed in descending order, so full sequences come off the
+    last = k - 1
+    # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
+    # sums in m, p, near, collisions); p is the length of the prefix's longest
+    # Lyndon prefix.  A node's vertices sit at the prefix's partial sums.  An
+    # entry carries its parent's near (bit j: a vertex j < reach before the
+    # last one) and its parent's count of colliding pairs, and the node adds
+    # its own last vertex when popped, so siblings share one small near.
+    # Children are pushed in descending order, so full sequences come off the
     # stack in lexicographic order.  A recursive nested function would be a
     # reference cycle that keeps each call's classes alive until a full gc.
-    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), total, 0, 0)]
+    stack: list[tuple[tuple[int, ...], int, int, int, int, int, int]] = [
+        ((), total, 0, 0, 1, 1, 0)
+    ]
     while stack:
-        t, remaining, in_m, sums_in_m = stack.pop()
-        left = k - len(t)
-        if left:
-            g0, prev = (t[0], t[-1]) if t else (1, 0)
-            hi = remaining - (left - 1) * g0 if t else total // k
-            for gap in range(hi, (remaining if left == 1 else g0) - 1, -1):
-                count = in_m + (gap in m)
-                if count > parts_in_m_exact or count + left - 1 < parts_in_m_exact:
-                    continue
-                sums = sums_in_m + (prev > 0 and prev + gap in m)
-                if sums <= adjacent_sums_in_m_max:
-                    stack.append((t + (gap,), remaining - gap, count, sums))
+        t, remaining, in_m, sums_in_m, p, near, collisions = stack.pop()
+        depth = len(t)
+        if depth:
+            near <<= t[-1]
+            collisions += (near & close).bit_count()
+            near = (near | 1) & keep
+        if depth == last:
+            # The last gap is forced; the sequence is its least rotation iff
+            # it extends the prenecklace and k is a multiple of the new p.
+            gap, lo = remaining, t[depth - p]
+            if gap < lo or (gap == lo and k % p):
+                continue
+            if in_m + (gap in m) != parts_in_m_exact:
+                continue
+            sums_in_m += (t[-1] + gap in m) + (k > 2 and gap + t[0] in m)
+            if sums_in_m > adjacent_sums_in_m_max:
+                continue
+            # Pairs across position 0: the first vertices, d after the last one.
+            d = gap
+            for q in t:
+                if d >= reach:
+                    break
+                collisions += ((near << d) & across).bit_count()
+                d += q
+            seq = CyclicSequence(t + (gap,), total)
+            pairs = None if g is None else collisions
+            classes.append(SequenceClass(seq, parts_in_m_exact, sums_in_m, pairs))
             continue
-        sums_in_m += k > 2 and t[-1] + t[0] in m
-        rotated = any(t[i] == t[0] and t[i:] + t[:i] < t for i in range(1, k))
-        if rotated or sums_in_m > adjacent_sums_in_m_max:
-            continue
-        collisions = None
-        if collide is not None:
-            positions = list(accumulate(t[:-1], initial=0))
-            collisions = sum(collide[b - a] for a, b in combinations(positions, 2))
-        classes.append(SequenceClass(CyclicSequence(t, total), in_m, sums_in_m, collisions))
+        if depth:
+            # Every gap is at least g0 = t[0], the least; a prenecklace's
+            # next gap is at least the one p places back.
+            lo, hi, prev = t[depth - p], remaining - (last - depth) * t[0], t[-1]
+        else:
+            # prev = -total: the first gap has no adjacent sum before it.
+            lo, hi, prev = 1, total // k, -total
+        short = parts_in_m_exact - (last - depth)
+        for gap in range(hi, lo - 1, -1):
+            count = in_m + (gap in m)
+            if count > parts_in_m_exact or count < short:
+                continue
+            sums = sums_in_m + (prev + gap in m)
+            if sums <= adjacent_sums_in_m_max:
+                lyndon = p if gap == lo else depth + 1
+                stack.append((t + (gap,), remaining - gap, count, sums, lyndon, near, collisions))
     return classes

@@ -341,3 +341,17 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
+    # The limit is checked before the census builds anything.
+    calls = []
+    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    limit = _MAX_ORDER // 2
+    argv = ["enum-seq", "--k", "2", "--exact-in-m", "0", "--adj-max", "0", "--total"]
+    code, out, err = run(capsys, *argv, str(limit + 1))
+    assert (code, out, calls) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(limit) in err
+    assert run(capsys, *argv, str(limit))[:2] == (0, "count 0\n")
+    assert calls == [(2, limit, 0, 0)]

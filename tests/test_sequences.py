@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from knodel import (
     CyclicSequence,
+    KnodelGraph,
     SequenceClass,
     build_graph,
     canonical_rotation,
     colliding_pairs,
+    common_neighbor_predicate,
     common_neighbors,
     cyclic_sequence,
     enumerate_sequences,
@@ -169,10 +171,10 @@ def brute_force_census(delta, k, total):
 def test_enumerate_matches_brute_force_census():
     # Whole SequenceClass lists, in order, for every exact count and adjacent
     # maximum in 0..k; delta 2 (m_delta = {1}) has a graph for every total >= 2,
-    # delta 5 never has one here (2 * 14 < 32).
+    # delta 5 only from total 16 on.
     for delta in (2, 3, 4, 5):
-        for k in range(1, 6):
-            for total in range(k, 15):
+        for k in range(1, 7):
+            for total in range(k, 19):
                 census = brute_force_census(delta, k, total)
                 for exact in range(k + 1):
                     for adj in range(k + 1):
@@ -183,6 +185,99 @@ def test_enumerate_matches_brute_force_census():
                         ]
                         got = enumerate_sequences(k, total, exact, adj, delta)
                         assert got == expected, (delta, k, total, exact, adj)
+
+
+def reference_enumerate(k, total, parts_in_m_exact, adjacent_sums_in_m_max, delta=4):
+    # The census before it became a prenecklace generator: least rotations
+    # depth first from g0, a rotation check on each full sequence, and the
+    # colliding pairs counted over all position pairs of each class.
+    m = m_delta(min(delta, total.bit_length() + 1))
+    try:
+        g = KnodelGraph(delta, 2 * total)
+        collide = [d and common_neighbor_predicate(g, u(1), u(1 + d)) for d in range(total)]
+    except ValueError:
+        collide = None
+    classes = []
+    stack = [((), total, 0, 0)]
+    while stack:
+        t, remaining, in_m, sums_in_m = stack.pop()
+        left = k - len(t)
+        if left:
+            g0, prev = (t[0], t[-1]) if t else (1, 0)
+            hi = remaining - (left - 1) * g0 if t else total // k
+            for gap in range(hi, (remaining if left == 1 else g0) - 1, -1):
+                count = in_m + (gap in m)
+                if count > parts_in_m_exact or count + left - 1 < parts_in_m_exact:
+                    continue
+                sums = sums_in_m + (prev > 0 and prev + gap in m)
+                if sums <= adjacent_sums_in_m_max:
+                    stack.append((t + (gap,), remaining - gap, count, sums))
+            continue
+        sums_in_m += k > 2 and t[-1] + t[0] in m
+        rotated = any(t[i] == t[0] and t[i:] + t[:i] < t for i in range(1, k))
+        if rotated or sums_in_m > adjacent_sums_in_m_max:
+            continue
+        collisions = None
+        if collide is not None:
+            positions = list(itertools.accumulate(t[:-1], initial=0))
+            collisions = sum(collide[b - a] for a, b in itertools.combinations(positions, 2))
+        classes.append(SequenceClass(CyclicSequence(t, total), in_m, sums_in_m, collisions))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "params,count",
+    [
+        pytest.param((6, 40, 2, 1), 9_428, id="6-40-2-1"),
+        pytest.param((6, 36, 2, 1), 2_601, id="6-36-2-1"),
+        pytest.param((6, 32, 1, 1), 22, id="6-32-1-1"),
+        pytest.param((5, 40, 1, 0), 1_302, id="5-40-1-0"),
+        pytest.param((5, 36, 2, 1), 3_284, id="5-36-2-1"),
+        pytest.param((5, 30, 2, 2), 910, id="5-30-2-2"),
+    ],
+)
+def test_enumerate_matches_reference_on_the_benchmark_census(params, count):
+    # 17,547 classes in all: the census workload's six parameter sets.
+    got = enumerate_sequences(*params)
+    assert len(got) == count
+    assert got == reference_enumerate(*params)
+
+
+def test_enumerate_matches_reference_on_small_parameters():
+    # Whole lists, in order, for every k <= 6, total <= 24 and filter in 0..k.
+    # The reference runs once per exact count, at the loosest adjacent maximum,
+    # and its classes are filtered for each tighter maximum.
+    for delta in (3, 4):
+        for k in range(1, 7):
+            for total in range(k, 25):
+                for exact in range(k + 1):
+                    loosest = reference_enumerate(k, total, exact, k, delta)
+                    for adj in range(k + 1):
+                        got = enumerate_sequences(k, total, exact, adj, delta)
+                        expected = [c for c in loosest if c.adjacent_sums_in_m <= adj]
+                        assert got == expected, (delta, k, total, exact, adj)
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        (1, 1),
+        (1,) * 4,
+        (1,) * 6,
+        (3, 3, 3),
+        (2, 3, 2, 3),
+        (1, 2, 1, 2, 1, 2),
+        (2, 2, 5, 2, 2, 5),
+    ],
+    ids=lambda gaps: "-".join(map(str, gaps)),
+)
+@pytest.mark.parametrize("delta", [2, 3, 4, 5])
+def test_periodic_classes_appear_once(gaps, delta):
+    # A periodic least rotation has a Lyndon prefix p < k that divides k.
+    k, total = len(gaps), sum(gaps)
+    (expected,) = [c for c in brute_force_census(delta, k, total) if c.canonical.gaps == gaps]
+    classes = enumerate_sequences(k, total, expected.parts_in_m, k, delta)
+    assert [c for c in classes if c.canonical.gaps in rotations(gaps)] == [expected]
 
 
 def test_enumerate_classes_are_rotation_distinct_and_sorted():

@@ -27,9 +27,13 @@ from .solver import canonical_certificate, solve_exact
 
 __all__ = ["main"]
 
-# The largest order verify, construct and sweep accept: each builds n-bit masks.
-# enum-seq accepts --total up to half of it: it counts collisions in W(delta, 2 * total).
+# The largest order verify, construct, export and sweep accept: each builds
+# n-bit masks.  enum-seq accepts --total up to half of it: it counts
+# collisions in W(delta, 2 * total).
 _MAX_ORDER = 2**21
+# The largest order an exact solve accepts: solve_exact builds n cover masks
+# and n near masks of n bits each, about n^2 / 4 bytes (64 MB here).
+_MAX_EXACT_ORDER = 2**14
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -89,6 +93,8 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
     if args.method in ("formula", "both"):
         doc["formula"] = gamma_formula(args.n).value
     if args.method in ("exact", "both"):
+        if args.n > _MAX_EXACT_ORDER:
+            raise ValueError(f"order {args.n} exceeds the exact-solve limit {_MAX_EXACT_ORDER}")
         g = build_graph(4, args.n)
         result = solve_exact(g)
         certificate = result.certificate
@@ -139,6 +145,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     if args.stop > _MAX_ORDER:
         raise ValueError(f"--to {args.stop} exceeds the order limit {_MAX_ORDER}")
+    if args.budget != 0 and args.stop > _MAX_EXACT_ORDER:
+        raise ValueError(
+            f"--to {args.stop} exceeds the exact-solve limit {_MAX_EXACT_ORDER}; "
+            "--budget 0 skips the solver"
+        )
     rows = ["n,formula,exact,agree,construct_ok,elapsed_ms"]
     any_failure = False
     for n in range(args.start, args.stop + 2, 2):
@@ -209,6 +220,8 @@ def _adjacency_text(g: KnodelGraph) -> str:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    if args.n > _MAX_ORDER:
+        raise ValueError(f"order {args.n} exceeds the limit {_MAX_ORDER}")
     g = build_graph(args.delta, args.n)
     if args.format == "edgelist":
         text = _edgelist_text(g)

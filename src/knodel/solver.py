@@ -38,9 +38,20 @@ starts with u_1 (slot 0) chosen, drops u_2 .. u_G from the pool and caps the
 u-side picks at floor((bound-1)/2), with bound the greedy incumbent's size;
 it applies the cut only when that cap is at least 1 and bound - 1 < h.  The
 bipartite test bounds its u-side share a by the cap less the u-picks so far,
-carried down as upicks, and a node at the cap drops its u-side candidates.
-The cap is fixed at the root, not lowered with the bound, so whether a
-subtree reaches a set below its bound does not depend on that bound.
+counted from ups, the mask of chosen u-slots that run carries, and a node
+at the cap drops its u-side candidates.  The cap is fixed at the root, not
+lowered with the bound, so whether a subtree reaches a set below its bound
+does not depend on that bound.
+
+Gap rule, on with the cut: u_1 opens a largest cyclic u-gap of the kept
+image, so every u-gap is at most the first, f, and f <= c for the lowest
+u-slot c chosen after slot 0.  So each stretch b - a between neighbouring
+chosen u-slots, and from the highest one round to u_1, holds at least
+(b - a - 1) // c u-members not yet chosen.  Their sum, need, is carried
+down run beside ups and updated only on a u-side pick; the bipartite test
+takes it as the least u-side share a, which closes a node whose u-picks
+plus need pass the cap.  canonical_certificate's searches run without the
+cut, so they carry need = 0.
 
 Canonical certificates: canonical_certificate fixes one position at a time
 to the lowest slot whose prefix a bounded search can complete.  Prefixes
@@ -144,6 +155,7 @@ class _Search:
         self.u_mask = g.u_mask
         self.half = g.half
         self.u_cap = g.half if u_cap is None else u_cap  # most u-side slots in a set
+        self.gap_rule = self.u_cap < g.half
         self.delta = g.delta
         self.dd = g.delta + 1
         self.bound = bound
@@ -154,12 +166,13 @@ class _Search:
         self.next_check = 1024  # a threshold: closed children count in batches
 
     def branch_slots(
-        self, covered: int, near: int, pool: int, planes: list[int], size: int, upicks: int
+        self, covered: int, near: int, pool: int, planes: list[int], size: int, upicks: int,
+        need: int,
     ):
         """Undominated count and (new cover, -slot) candidates covering the
         pivot, descending, ties to the lower slot; None if closed (pruned or
-        already dominated).  near is closed_cover(covered) and upicks the
-        number of u-side slots chosen."""
+        already dominated).  near is closed_cover(covered), upicks the number
+        of u-side slots chosen and need the u-picks the gap rule still asks."""
         self.nodes += 1
         if self.nodes >= self.next_check and self.deadline is not None:
             self.next_check = self.nodes + 1024
@@ -173,10 +186,11 @@ class _Search:
         ucap = self.u_cap - upicks
         d1 = self.delta - 1
         if d1 > 0:
+            # The u-side share a lies in [max(need, lower), hi]; need >= 0.
             hi = min(budget, ucap, (self.delta * budget - uu) // d1)
-            if hi < 0 or -(-(uv - budget) // d1) > hi:
+            if hi < need or -(-(uv - budget) // d1) > hi:
                 return None
-        elif uu > budget or uv > budget:
+        elif uu > budget or uv > budget or need > min(budget, ucap):
             return None
         # Forced waste.  The forced vertices are at most m, so a node whose m
         # fits the slack skips the closed_cover.
@@ -209,9 +223,12 @@ class _Search:
         pool: int,
         planes: list[int],
         size: int,
-        upicks: int,
+        ups: int,
+        need: int,
         chosen: tuple,
     ) -> None:
+        """Search below the node that has chosen the slots in chosen; ups is
+        the mask of its u-side slots and need the u-picks they still ask."""
         if covered == self.full:
             if size < self.bound:
                 self.bound = size
@@ -219,7 +236,7 @@ class _Search:
                 if self.stop_on_first:
                     raise _FoundAny
             return
-        node = self.branch_slots(covered, near, pool, planes, size, upicks)
+        node = self.branch_slots(covered, near, pool, planes, size, ups.bit_count(), need)
         if node is None:
             return
         m, members = node
@@ -232,15 +249,44 @@ class _Search:
             slot = -neg
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
+            child_ups, child_need = ups, need
+            if slot < self.half:
+                child_ups |= 1 << slot
+                if self.gap_rule:
+                    child_need = self._need(ups, need, slot)
             self.run(
                 covered | cover[slot],
                 near | self.near[slot],
                 pool,
                 planes,
                 size + 1,
-                upicks + (slot < self.half),
+                child_ups,
+                child_need,
                 chosen + (slot,),
             )
+
+    def _need(self, ups: int, need: int, slot: int) -> int:
+        """The gap rule's need once u-side slot joins ups, whose need is need.
+
+        ups holds slot 0.  With c the lowest other slot in ups, each stretch
+        b - a between neighbours in ups, and from the highest to half, asks
+        (b - a - 1) // c more u-picks.  Only the stretch that slot splits
+        changes, unless slot is the new lowest."""
+        rest = ups & ~1
+        c = (rest & -rest).bit_length() - 1
+        if slot > c > 0:
+            a = (ups & ((1 << slot) - 1)).bit_length() - 1
+            above = ups >> slot
+            b = (above & -above).bit_length() - 1 + slot if above else self.half
+            return need + (slot - a - 1) // c + (b - slot - 1) // c - (b - a - 1) // c
+        need, a = 0, slot
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            need += (b - a - 1) // slot
+            a = b
+            rest ^= low
+        return need + (self.half - a - 1) // slot
 
 
 def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult:
@@ -269,7 +315,7 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
     pool = g.full_mask >> gap << gap
     search = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
     try:
-        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 1, (0,))
+        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 1, 0, (0,))
     except _Timeout:
         value, lower = None, degree_lower
     else:
@@ -390,7 +436,7 @@ def _completion(
     cover_counts(pool)."""
     search = _Search(g, budget + 1, None, None, stop_on_first=True)
     try:
-        search.run(covered, near, pool, planes, 0, 0, ())
+        search.run(covered, near, pool, planes, 0, 0, 0, ())
     except _FoundAny:
         return search.best_slots
     return None

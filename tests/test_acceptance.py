@@ -52,9 +52,9 @@ def report(number: int, description: str, failures: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def exact_sweep():
-    """Exact domination numbers for every even order in [16, 200], timed."""
+    """Exact domination numbers for every even order in [16, 312], timed."""
     started = time.perf_counter()
-    results = {n: solve_exact(build_graph(4, n)) for n in range(16, 201, 2)}
+    results = {n: solve_exact(build_graph(4, n)) for n in range(16, 313, 2)}
     return results, time.perf_counter() - started
 
 
@@ -67,7 +67,7 @@ def test_criterion_1_formula_reference_table():
     report(1, "closed form reproduces the reference values", failures)
 
 
-def test_criterion_2_solver_matches_formula_on_16_to_200(exact_sweep):
+def test_criterion_2_solver_matches_formula_on_16_to_312(exact_sweep):
     results, elapsed = exact_sweep
     failures = []
     for n, result in results.items():
@@ -80,7 +80,7 @@ def test_criterion_2_solver_matches_formula_on_16_to_200(exact_sweep):
             failures.append(f"n={n}: certificate size differs from value")
     if elapsed >= 600:
         failures.append(f"sweep took {elapsed:.1f}s, budget is 600s")
-    report(2, "exact solver matches the formula on [16, 200]", failures)
+    report(2, "exact solver matches the formula on [16, 312]", failures)
 
 
 def test_criterion_3_brute_force_agrees_on_16_to_24():

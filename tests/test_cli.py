@@ -14,7 +14,7 @@ from knodel import (
     is_dominating,
     solve_exact,
 )
-from knodel.cli import _MAX_ORDER, _set_document, main
+from knodel.cli import _MAX_EXACT_ORDER, _MAX_ORDER, _set_document, main
 from knodel.domination import VertexSet
 
 
@@ -323,6 +323,7 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path):
         ("gamma", "16", "--method", "formula", "--canonical"),
         ("construct", over),
         ("sweep", "--from", over, "--to", over, "--budget", "0"),
+        ("export", over, "--format", "edgelist"),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -355,3 +356,53 @@ def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
     assert str(limit) in err
     assert run(capsys, *argv, str(limit))[:2] == (0, "count 0\n")
     assert calls == [(2, limit, 0, 0)]
+
+
+def test_exact_solves_refuse_orders_over_the_exact_limit(capsys, monkeypatch):
+    # The solver's cover and near masks cost about n^2 / 4 bytes, so the
+    # limit is checked before any graph is built; the formula alone and a
+    # sweep with --budget 0 build no solver tables and keep the order limit.
+    built = []
+    monkeypatch.setattr("knodel.cli.build_graph", lambda *args: built.append(args))
+    over = str(_MAX_EXACT_ORDER + 2)
+    cases = [
+        ("gamma", over, "--method", "exact"),
+        ("gamma", over),
+        ("gamma", over, "--canonical"),
+        ("sweep", "--from", over, "--to", over),
+        ("sweep", "--from", "16", "--to", over, "--budget", "5"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        assert str(_MAX_EXACT_ORDER) in err, argv
+    assert built == []
+    code, out, _ = run(capsys, "gamma", over, "--method", "formula")
+    assert code == 0 and json.loads(out)["formula"] > 0
+    code, out, _ = run(capsys, "sweep", "--from", over, "--to", over, "--budget", "0")
+    assert code == 0 and out.splitlines()[1].startswith(f"{over},")
+
+
+def test_exact_solves_run_up_to_the_exact_limit(capsys, monkeypatch):
+    # At the limit the solve starts: a stub stands in for the search.
+    solved = []
+
+    def stub(g, time_budget=None):
+        solved.append(g.n)
+        raise ValueError("stub solver")
+
+    monkeypatch.setattr("knodel.cli.solve_exact", stub)
+    limit = str(_MAX_EXACT_ORDER)
+    for argv in (("gamma", limit), ("sweep", "--from", limit, "--to", limit)):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: stub solver\n"), argv
+    assert solved == [_MAX_EXACT_ORDER] * 2
+
+
+def test_export_refuses_orders_over_the_order_limit(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("knodel.cli.build_graph", lambda *args: built.append(args))
+    code, out, err = run(capsys, "export", str(_MAX_ORDER + 2), "--format", "dot")
+    assert (code, out, built) == (2, "", [])
+    assert str(_MAX_ORDER) in err

@@ -97,6 +97,22 @@ def test_single_threaded_runs_are_identical():
     assert first.nodes_explored == second.nodes_explored
 
 
+def gap_need(half, chosen):
+    """The u-picks that the gap rule asks beyond chosen, from its definition.
+
+    chosen holds slot 0 (u_1).  With c the lowest other u-slot in chosen,
+    every cyclic u-gap of a set in the cut's normal form is at most c, so
+    each stretch between neighbouring u-slots of chosen, and from the
+    highest back to u_1, splits into gaps of at most c.
+    """
+    u_slots = sorted(s for s in chosen if 0 < s < half)
+    if not u_slots:
+        return 0
+    c = u_slots[0]
+    ends = u_slots[1:] + [half]
+    return sum(-(-(b - a) // c) - 1 for a, b in zip(u_slots, ends))
+
+
 def root_task_solve(g):
     """The serial path before the single search: (value, slots, nodes).
 
@@ -113,17 +129,19 @@ def root_task_solve(g):
     pool = g.full_mask >> gap << gap
     cover, near = g.cover_masks, g.near_masks
     search = _Search(g, bound, tuple(sorted(g.slot(x) for x in greedy)), None, u_cap=u_cap)
-    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1)
+    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1, 0)
     for _, neg in root[1] if root else ():
         slot = -neg
         pool ^= 1 << slot
+        ups = 1 | (1 << slot if slot < g.half else 0)
         search.run(
             cover[0] | cover[slot],
             near[0] | near[slot],
             pool,
             g.cover_counts(pool),
             2,
-            1 + (slot < g.half),
+            ups,
+            gap_need(g.half, (0, slot)) if u_cap < g.half else 0,
             (0, slot),
         )
     return search.bound, search.best_slots, search.nodes
@@ -222,7 +240,7 @@ def scan_canonical(g, size):
             trial, pool = covered | cover[slot], g.full_mask >> (slot + 1) << (slot + 1)
             search = _Search(g, remaining + 1, None, None, stop_on_first=True)
             try:
-                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0, ())
+                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0, 0, ())
             except knodel.solver._FoundAny:
                 chosen.append(slot)
                 covered = trial
@@ -306,7 +324,9 @@ def test_rotation_and_side_swap_are_automorphisms(delta, n):
 def test_some_image_of_each_small_dominating_set_meets_the_cut(delta, n):
     # The symmetry cut keeps, of a dominating set D with |D| = k < n/2, only
     # images that hold u_1, at most floor(k/2) u-vertices and none of
-    # u_2 .. u_G, G = ceil(h / floor(k/2)); every D must keep one.
+    # u_2 .. u_G, G = ceil(h / floor(k/2)), and the gap rule only those
+    # whose cyclic u-gaps are all at most the first, from u_1 to the next
+    # u-vertex; every D must keep one.
     g = build_graph(delta, n)
     h, cover = g.half, g.cover_masks
     gamma = brute_force_min(g, h).value
@@ -323,11 +343,13 @@ def test_some_image_of_each_small_dominating_set_meets_the_cut(delta, n):
             for _ in range(2):
                 for _ in range(h):
                     image = [rotate(h, x) for x in image]
-                    u_indices = {x.index for x in image if x.side is Side.U}
+                    u_indices = sorted(x.index for x in image if x.side is Side.U)
+                    gaps = [b - a for a, b in zip(u_indices, u_indices[1:] + [h + 1])]
                     kept = kept or (
-                        1 in u_indices
+                        u_indices[:1] == [1]
                         and len(u_indices) <= k // 2
-                        and not u_indices & set(range(2, gap + 1))
+                        and not set(u_indices) & set(range(2, gap + 1))
+                        and max(gaps) == gaps[0]
                     )
                 image = [swap(h, x) for x in image]
             assert kept, f"no image of slots {combo} meets the cut"
@@ -372,7 +394,7 @@ def test_fixing_u1_keeps_the_plain_search_value():
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0, ())
+        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0, 0, ())
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -382,22 +404,25 @@ def test_fixing_u1_keeps_the_plain_search_value():
 @pytest.mark.parametrize(
     "n,nodes",
     [
-        pytest.param(38, 1_186, id="38"),
-        pytest.param(48, 783, id="48"),
-        pytest.param(58, 1_417, id="58"),
+        pytest.param(38, 907, id="38"),
+        pytest.param(48, 579, id="48"),
+        pytest.param(58, 887, id="58"),
         pytest.param(60, 1, id="60"),
-        pytest.param(62, 125, id="62"),
+        pytest.param(62, 100, id="62"),
         pytest.param(64, 1, id="64"),
-        pytest.param(66, 320, id="66"),
-        pytest.param(68, 2_214, id="68"),
-        pytest.param(88, 4_472, id="88"),
-        pytest.param(128, 9_721, id="128"),
+        pytest.param(66, 260, id="66"),
+        pytest.param(68, 1_228, id="68"),
+        pytest.param(88, 1_751, id="88"),
+        pytest.param(128, 2_574, id="128"),
+        pytest.param(198, 3_890, id="198"),
+        pytest.param(508, 9_718, id="508"),
     ],
 )
 def test_serial_node_counts_are_pinned(n, nodes):
     # Residue 8 grew about as n^4 without the forced-waste prune (88: 140,518;
     # 128: 567,315), and grows about linearly with it; the symmetry cut took
-    # 88 from 20,794 and 128 from 31,882.
+    # 88 from 20,794 and 128 from 31,882, and the gap rule took 88 from 4,472,
+    # 128 from 9,721, 198 from 18,820 and 508 from 64,953.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
 
 
@@ -417,11 +442,12 @@ def scan_pivot(search, und, pool):
     return pivot, best_count
 
 
-def scan_branch_slots(search, covered, pool, size, upicks, forced_waste=True):
+def scan_branch_slots(search, covered, pool, size, upicks, need=0, forced_waste=True):
     """Reference node: the ordered candidate slots, or None if closed.
 
     The prunes as first written, the bipartite one as a search over splits
-    with the symmetry cut's cap on u-side picks, the forced-waste one from
+    with the symmetry cut's cap on u-side picks and the gap rule's floor
+    need on the u-side share, the forced-waste one from
     its definition unless forced_waste is false, then the pivot scan over
     every undominated vertex with an AND and a bit count each; u-side
     candidates go once upicks reaches the cap.
@@ -439,11 +465,12 @@ def scan_branch_slots(search, covered, pool, size, upicks, forced_waste=True):
     uu = (und & search.u_mask).bit_count()
     uv = (und & ~search.u_mask).bit_count()
     # a u-side picks cover at most delta*a v-side vertices and a u-side ones,
-    # and the set may hold at most u_cap u-side slots.
+    # the set may hold at most u_cap u-side slots, and the gap rule asks at
+    # least need more of them.
     delta = search.delta
     if not any(
         delta * a + (budget - a) >= uv and a + delta * (budget - a) >= uu
-        for a in range(min(budget, search.u_cap - upicks) + 1)
+        for a in range(need, min(budget, search.u_cap - upicks) + 1)
     ):
         return None
     cover = search.cover
@@ -477,7 +504,8 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
     # Random (covered, pool, size, bound) states; pools from full to sparse
     # give every pivot count, and covers from none to one whole side make
     # each prune, the bipartite one included, close some of the states.
-    # u-side caps range from none to already reached.
+    # u-side caps range from none to already reached, and the gap rule's
+    # need from none to more than the cap allows.
     g = build_graph(delta, n)
     rng = random.Random(n * 10 + delta)
     caps = random.Random(-(n * 10 + delta))  # the cap's draws leave rng's states as they were
@@ -490,6 +518,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         size = rng.randint(0, 3)
         upicks = caps.randint(0, size)
         u_cap = caps.choice((None, upicks, upicks + caps.randint(1, 3)))
+        need = caps.choice((0, 0, caps.randint(1, 4)))
         search = _Search(g, size + rng.randint(1, n), None, None, u_cap=u_cap)
         planes = g.cover_counts(pool)
         counts = [(c & pool).bit_count() for c in g.cover_masks]
@@ -499,8 +528,10 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         if und:
             pivot, count = scan_pivot(search, und, pool)
             assert _pivot(und, planes) == (count and 1 << pivot)
-        expected = scan_branch_slots(search, covered, pool, size, upicks)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, upicks)
+        expected = scan_branch_slots(search, covered, pool, size, upicks, need)
+        got = search.branch_slots(
+            covered, g.closed_cover(covered), pool, planes, size, upicks, need
+        )
         if expected is None:
             assert got is None
         else:
@@ -559,37 +590,40 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         size = rng.randint(0, 2)
         search = _Search(g, size + 1 + budget, None, None)
         planes = g.cover_counts(pool)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, 0)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, 0, 0)
         assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
             search, covered, pool, size, 0
         )
-        if got is None and scan_branch_slots(search, covered, pool, size, 0, False) is not None:
+        if got is None and scan_branch_slots(search, covered, pool, size, 0, 0, False) is not None:
             closed_by_rule += 1
             assert not has_completion(g, covered, pool, budget)
     assert closed_by_rule > 0
 
 
 class CheckedSearch(_Search):
-    """A search that checks every node's carried masks and its kernel
-    against the reference."""
+    """A search that checks every node's carried masks, its u-slots and
+    gap-rule need, and its kernel against the reference."""
 
     def __init__(self, g, *args, **kwargs):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def run(self, covered, near, pool, planes, size, upicks, chosen):
-        assert upicks == sum(slot < self.half for slot in chosen) <= self.u_cap
-        super().run(covered, near, pool, planes, size, upicks, chosen)
+    def run(self, covered, near, pool, planes, size, ups, need, chosen):
+        u_slots = [slot for slot in chosen if slot < self.half]
+        assert ups == _slots_mask(self.graph.n, u_slots)
+        assert len(u_slots) <= self.u_cap
+        assert need == (gap_need(self.half, chosen) if self.u_cap < self.half else 0)
+        super().run(covered, near, pool, planes, size, ups, need, chosen)
 
-    def branch_slots(self, covered, near, pool, planes, size, upicks):
+    def branch_slots(self, covered, near, pool, planes, size, upicks, need):
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
         m, dd = (self.full & ~covered).bit_count(), self.delta + 1
         assert size <= 2 or size + -(-m // dd) < self.bound
-        expected = scan_branch_slots(self, covered, pool, size, upicks)
-        got = super().branch_slots(covered, near, pool, planes, size, upicks)
+        expected = scan_branch_slots(self, covered, pool, size, upicks, need)
+        got = super().branch_slots(covered, near, pool, planes, size, upicks, need)
         assert (got and [-neg for _, neg in got[1]]) == expected
         return got
 

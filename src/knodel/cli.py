@@ -13,44 +13,46 @@ for other tools; nothing here parses them back.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .domination import VertexSet, undominated
 from .gamma4 import ConstructionError, construct_dominating_set, gamma_formula
-from .graphs import KnodelGraph, Side, build_graph, neighbors
+from .graphs import KnodelGraph, Side, build_graph
 from .sequences import enumerate_sequences
 from .solver import canonical_certificate, solve_exact
 
 __all__ = ["main"]
 
 # The largest order verify, construct, export and sweep accept: each builds
-# n-bit masks.  enum-seq accepts --total up to half of it: it counts
-# collisions in W(delta, 2 * total).
+# n-bit masks; export writes its lines as it makes them, so no more is held.
+# enum-seq accepts --total up to half of it: it counts collisions in
+# W(delta, 2 * total).
 _MAX_ORDER = 2**21
 # The largest order an exact solve accepts: solve_exact builds n cover masks
 # and n near masks of n bits each, about n^2 / 4 bytes (64 MB here).
 _MAX_EXACT_ORDER = 2**14
+# The most compositions, comb(total - 1, k - 1), whose classes enum-seq
+# enumerates; --k 2 at the largest --total stays just under it.
+_MAX_COMPOSITIONS = 2**20
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
+def _write_lines(lines: Iterable[str], out: str | None) -> None:
+    """Write each line and a newline to the file out, else to stdout, in batches."""
+    with open(out, "w") if out is not None else contextlib.nullcontext(sys.stdout) as f:
+        rest = iter(lines)
+        while batch := list(itertools.islice(rest, 4096)):
+            f.write("\n".join(batch) + "\n")
 
 
 def _set_document(ds: VertexSet) -> str:
     g = ds.graph
-    doc = {
-        "n": g.n,
-        "delta": g.delta,
-        "u": list(ds.u_indices),
-        "v": list(ds.v_indices),
-    }
+    doc = {"n": g.n, "delta": g.delta, "u": list(ds.u_indices), "v": list(ds.v_indices)}
     return json.dumps(doc)
 
 
@@ -116,7 +118,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.n > _MAX_ORDER:
         raise ValueError(f"order {args.n} exceeds the limit {_MAX_ORDER}")
     ds = construct_dominating_set(args.n)
-    _write_output(_set_document(ds), args.out)
+    _write_lines([_set_document(ds)], args.out)
     return 0
 
 
@@ -171,13 +173,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             any_failure = True
         elapsed_ms = round((time.perf_counter() - started) * 1000)
         rows.append(f"{n},{formula},{exact},{agree},{construct_ok},{elapsed_ms}")
-    _write_output("\n".join(rows), args.out)
+    _write_lines(rows, args.out)
     return 1 if any_failure else 0
 
 
 def _cmd_enum_seq(args: argparse.Namespace) -> int:
     if args.total > _MAX_ORDER // 2:
         raise ValueError(f"--total {args.total} exceeds the limit {_MAX_ORDER // 2}")
+    if _compositions_exceed(args.total, args.k, _MAX_COMPOSITIONS):
+        raise ValueError(f"--k {args.k} --total {args.total}: over {_MAX_COMPOSITIONS} sequences")
     classes = enumerate_sequences(
         args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta
     )
@@ -189,6 +193,17 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compositions_exceed(total: int, k: int, limit: int) -> bool:
+    """Whether comb(total - 1, k - 1), the count of k positive gaps summing to
+    total, exceeds limit; comb(total - 1, i) grows up to i = min(k - 1, total - k)."""
+    count = 1
+    for i in range(1, min(k - 1, total - k) + 1):
+        count = count * (total - i) // i
+        if count > limit:
+            return True
+    return False
+
+
 def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j) of the edges u_i v_j, by i and then by offset."""
     for s in range(g.half):
@@ -196,40 +211,42 @@ def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:
             yield s + 1, t - g.half + 1
 
 
-def _edgelist_text(g: KnodelGraph) -> str:
-    return "\n".join(f"u{i} v{j}" for i, j in _edges(g))
+def _edgelist_lines(g: KnodelGraph) -> Iterator[str]:
+    return (f"u{i} v{j}" for i, j in _edges(g))
 
 
-def _dot_text(g: KnodelGraph) -> str:
-    lines = [f"graph knodel_{g.delta}_{g.n} {{"]
+def _dot_lines(g: KnodelGraph) -> Iterator[str]:
+    yield f"graph knodel_{g.delta}_{g.n} {{"
     for side in (Side.U, Side.V):
-        lines.append(f"  subgraph cluster_{side.value} {{")
-        lines.append(f'    label="{side.value.upper()}";')
-        lines.append("    rank=same;")
+        yield f"  subgraph cluster_{side.value} {{"
+        yield f'    label="{side.value.upper()}";'
+        yield "    rank=same;"
         for i in range(1, g.half + 1):
-            lines.append(f"    {side.value}{i};")
-        lines.append("  }")
-    lines.extend(f"  u{i} -- v{j};" for i, j in _edges(g))
-    lines.append("}")
-    return "\n".join(lines)
+            yield f"    {side.value}{i};"
+        yield "  }"
+    for i, j in _edges(g):
+        yield f"  u{i} -- v{j};"
+    yield "}"
 
 
-def _adjacency_text(g: KnodelGraph) -> str:
-    adjacency = {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
-    return json.dumps({"n": g.n, "delta": g.delta, "adjacency": adjacency}, indent=2)
+def _adjacency_lines(g: KnodelGraph) -> Iterator[str]:
+    """The object {"n": ..., "delta": ..., "adjacency": {...}} as json.dumps
+    writes it with indent=2, one vertex entry at a time.  Neighbours ascend
+    by slot, which is their label order, and labels need no escaping."""
+    yield f'{{\n  "n": {g.n},\n  "delta": {g.delta},\n  "adjacency": {{'
+    for s in range(g.n):
+        items = ",\n".join(f'      "{g.vertex_at(t)}"' for t in sorted(g.neighbor_slots(s)))
+        comma = "," if s < g.n - 1 else ""
+        yield f'    "{g.vertex_at(s)}": [\n{items}\n    ]{comma}'
+    yield "  }\n}"
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     if args.n > _MAX_ORDER:
         raise ValueError(f"order {args.n} exceeds the limit {_MAX_ORDER}")
     g = build_graph(args.delta, args.n)
-    if args.format == "edgelist":
-        text = _edgelist_text(g)
-    elif args.format == "dot":
-        text = _dot_text(g)
-    else:
-        text = _adjacency_text(g)
-    _write_output(text, args.out)
+    lines = {"edgelist": _edgelist_lines, "dot": _dot_lines, "json": _adjacency_lines}
+    _write_lines(lines[args.format](g), args.out)
     return 0
 
 

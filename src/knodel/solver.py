@@ -38,30 +38,31 @@ starts with u_1 (slot 0) chosen, drops u_2 .. u_G from the pool and caps the
 u-side picks at floor((bound-1)/2), with bound the greedy incumbent's size;
 it applies the cut only when that cap is at least 1 and bound - 1 < h.  The
 bipartite test bounds its u-side share a by the cap less the u-picks so far,
-counted from ups, the mask of chosen u-slots that run carries, and a node
-at the cap drops its u-side candidates.  The cap is fixed at the root, not
-lowered with the bound, so whether a subtree reaches a set below its bound
-does not depend on that bound.
+counted from picked & u_mask, picked being the mask of chosen slots that
+run carries, and a node at the cap drops its u-side candidates.  The cap is
+fixed at the root, not lowered with the bound, so whether a subtree reaches
+a set below its bound does not depend on that bound.
 
 Gap rule, on with the cut: u_1 opens a largest cyclic u-gap of the kept
 image, so every u-gap is at most the first, f, and f <= c for the lowest
 u-slot c chosen after slot 0.  So each stretch b - a between neighbouring
 chosen u-slots, and from the highest one round to u_1, holds at least
 (b - a - 1) // c u-members not yet chosen.  Their sum, need, is carried
-down run beside ups and updated only on a u-side pick; the bipartite test
-takes it as the least u-side share a, which closes a node whose u-picks
-plus need pass the cap.  canonical_certificate's searches run without the
-cut, so they carry need = 0.
+down run beside picked and updated only on a u-side pick; the bipartite
+test takes it as the least u-side share a, which closes a node whose
+u-picks plus need pass the cap.  canonical_certificate's searches run
+without the cut, so they carry need = 0.
 
 Canonical certificates: canonical_certificate fixes one position at a time
 to the lowest slot whose prefix a bounded search can complete.  Prefixes
-are not preserved by a rotation, so its searches run without the cut.  The
-scan builds the bit planes once and lowers them with _without, the search's
-borrow chain, as it passes each slot; it ORs near masks onto the prefix's
-near.  The last completion found is kept as a witness: its lowest slot can
-be completed, so the scan searches only the slots below it.  A witness that
-fills every position left is replaced by the least image of prefix + witness
-under the rotations and swaps that starts with the prefix.  Automorphisms map
+are not preserved by a rotation, so its searches run without the cut, all
+on one _Search whose bound each trial resets.  The scan builds the bit
+planes once and lowers them with _without, the search's borrow chain, as it
+passes each slot; it ORs near masks onto the prefix's near.  The last
+completion found is kept as a witness: its lowest slot can be completed, so
+the scan searches only the slots below it.  A witness that fills every
+position left is replaced by the least image of prefix + witness under the
+rotations and swaps that starts with the prefix.  Automorphisms map
 dominating sets onto dominating sets of the same size, so that image is a
 witness too, and a lower one leaves fewer slots to search.
 
@@ -140,13 +141,8 @@ class _Search:
     """Branch-and-bound state over one graph's cover masks."""
 
     def __init__(
-        self,
-        g: KnodelGraph,
-        bound: int,
-        best_slots: tuple[int, ...] | None,
-        deadline: float | None,
-        stop_on_first: bool = False,
-        u_cap: int | None = None,
+        self, g: KnodelGraph, bound: int, best: int, deadline: float | None,
+        stop_on_first: bool = False, u_cap: int | None = None,
     ):
         self.cover = g.cover_masks
         self.near = g.near_masks
@@ -159,31 +155,30 @@ class _Search:
         self.delta = g.delta
         self.dd = g.delta + 1
         self.bound = bound
-        self.best_slots = best_slots
+        self.best = best  # slot mask of the incumbent
         self.deadline = deadline
         self.stop_on_first = stop_on_first
         self.nodes = 0
         self.next_check = 1024  # a threshold: closed children count in batches
 
     def branch_slots(
-        self, covered: int, near: int, pool: int, planes: list[int], size: int, upicks: int,
-        need: int,
+        self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int
     ):
         """Undominated count and (new cover, -slot) candidates covering the
         pivot, descending, ties to the lower slot; None if closed (pruned or
-        already dominated).  near is closed_cover(covered), upicks the number
-        of u-side slots chosen and need the u-picks the gap rule still asks."""
+        already dominated).  near is closed_cover(covered), picked the mask
+        of chosen slots and need the u-picks the gap rule still asks."""
         self.nodes += 1
         if self.nodes >= self.next_check and self.deadline is not None:
             self.next_check = self.nodes + 1024
             if time.monotonic() > self.deadline:
                 raise _Timeout
         und = self.full & ~covered
-        budget = self.bound - 1 - size
+        budget = self.bound - 1 - picked.bit_count()
         m = und.bit_count()
         uu = (und & self.u_mask).bit_count()
         uv = m - uu
-        ucap = self.u_cap - upicks
+        ucap = self.u_cap - (picked & self.u_mask).bit_count()
         d1 = self.delta - 1
         if d1 > 0:
             # The u-side share a lies in [max(need, lower), hi]; need >= 0.
@@ -217,66 +212,51 @@ class _Search:
         return m, members
 
     def run(
-        self,
-        covered: int,
-        near: int,
-        pool: int,
-        planes: list[int],
-        size: int,
-        ups: int,
-        need: int,
-        chosen: tuple,
+        self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int
     ) -> None:
-        """Search below the node that has chosen the slots in chosen; ups is
-        the mask of its u-side slots and need the u-picks they still ask."""
+        """Search below the node that has chosen the slots in the mask picked;
+        need is the u-picks they still ask."""
         if covered == self.full:
-            if size < self.bound:
-                self.bound = size
-                self.best_slots = chosen
+            if picked.bit_count() < self.bound:
+                self.bound = picked.bit_count()
+                self.best = picked
                 if self.stop_on_first:
                     raise _FoundAny
             return
-        node = self.branch_slots(covered, near, pool, planes, size, ups.bit_count(), need)
+        node = self.branch_slots(covered, near, pool, planes, picked, need)
         if node is None:
             return
         m, members = node
         cover = self.cover
         for i, (c, neg) in enumerate(members):
             # Counting closes this child and all later ones (c == m is a leaf).
-            if c < m and m - c > (self.bound - size - 2) * self.dd:
+            if c < m and m - c > (self.bound - picked.bit_count() - 2) * self.dd:
                 self.nodes += len(members) - i
                 return
             slot = -neg
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
-            child_ups, child_need = ups, need
-            if slot < self.half:
-                child_ups |= 1 << slot
-                if self.gap_rule:
-                    child_need = self._need(ups, need, slot)
+            child_need = need
+            if self.gap_rule and slot < self.half:
+                child_need = self._need(picked & self.u_mask, need, slot)
+            child = picked | 1 << slot
             self.run(
-                covered | cover[slot],
-                near | self.near[slot],
-                pool,
-                planes,
-                size + 1,
-                child_ups,
-                child_need,
-                chosen + (slot,),
+                covered | cover[slot], near | self.near[slot], pool, planes, child, child_need
             )
 
-    def _need(self, ups: int, need: int, slot: int) -> int:
-        """The gap rule's need once u-side slot joins ups, whose need is need.
+    def _need(self, u_picked: int, need: int, slot: int) -> int:
+        """The gap rule's need once u-side slot joins the u-side mask
+        u_picked, whose need is need.
 
-        ups holds slot 0.  With c the lowest other slot in ups, each stretch
-        b - a between neighbours in ups, and from the highest to half, asks
-        (b - a - 1) // c more u-picks.  Only the stretch that slot splits
-        changes, unless slot is the new lowest."""
-        rest = ups & ~1
+        u_picked holds slot 0.  With c its lowest other slot, each stretch
+        b - a between neighbours in u_picked, and from the highest to half,
+        asks (b - a - 1) // c more u-picks.  Only the stretch that slot
+        splits changes, unless slot is the new lowest."""
+        rest = u_picked & ~1
         c = (rest & -rest).bit_length() - 1
         if slot > c > 0:
-            a = (ups & ((1 << slot) - 1)).bit_length() - 1
-            above = ups >> slot
+            a = (u_picked & ((1 << slot) - 1)).bit_length() - 1
+            above = u_picked >> slot
             b = (above & -above).bit_length() - 1 + slot if above else self.half
             return need + (slot - a - 1) // c + (b - slot - 1) // c - (b - a - 1) // c
         need, a = 0, slot
@@ -302,8 +282,8 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
     start = time.perf_counter()
     deadline = None if time_budget is None else time.monotonic() + time_budget
     degree_lower, _ = gamma_bounds(g)
-    best_slots = tuple(_positions(greedy_upper_bound(g).mask))
-    bound = len(best_slots)
+    best = greedy_upper_bound(g).mask
+    bound = best.bit_count()
 
     # The symmetry cut for sets of size <= bound - 1, when it applies; else
     # a cap of half is no cap and G = 1 leaves only u_1 out of the pool.  A
@@ -313,16 +293,16 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
         u_cap = g.half
     gap = -(-g.half // u_cap)
     pool = g.full_mask >> gap << gap
-    search = _Search(g, bound, best_slots, deadline, u_cap=u_cap)
+    search = _Search(g, bound, best, deadline, u_cap=u_cap)
     try:
-        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 1, 0, (0,))
+        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 0)
     except _Timeout:
         value, lower = None, degree_lower
     else:
         value = lower = search.bound
 
     elapsed = time.perf_counter() - start
-    certificate = VertexSet(g, _slots_mask(g.n, search.best_slots))
+    certificate = VertexSet(g, search.best)
     return SolveResult(value, lower, search.bound, certificate, search.nodes, elapsed)
 
 
@@ -339,8 +319,8 @@ def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
     cover = g.cover_masks
     full = g.full_mask
     checked = 0
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(range(g.n), size):
+    for k in range(1, max_size + 1):
+        for combo in itertools.combinations(range(g.n), k):
             checked += 1
             covered = 0
             for slot in combo:
@@ -348,7 +328,7 @@ def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
             if covered == full:
                 elapsed = time.perf_counter() - start
                 certificate = VertexSet(g, _slots_mask(g.n, combo))
-                return SolveResult(size, size, size, certificate, checked, elapsed)
+                return SolveResult(k, k, k, certificate, checked, elapsed)
     return None
 
 
@@ -378,7 +358,8 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     every slot.
     """
     cover, near_masks = g.cover_masks, g.near_masks
-    chosen = [0]
+    search = _Search(g, 0, 0, None, stop_on_first=True)
+    prefix = [0]
     covered, near = cover[0], near_masks[0]
     pool = g.full_mask ^ 1
     planes = g.cover_counts(pool)
@@ -387,16 +368,16 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
         remaining = size - position - 1
         trusted = len(witness) > remaining
         stop = witness[0] if trusted else g.n - remaining
-        for slot in range(chosen[-1] + 1, stop):
+        for slot in range(prefix[-1] + 1, stop):
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
             found = _completion(
-                g, covered | cover[slot], near | near_masks[slot], pool, planes, remaining
+                search, covered | cover[slot], near | near_masks[slot], pool, planes, remaining
             )
             if found is not None:
-                witness = sorted(found)
+                witness = _positions(found)
                 if len(witness) == remaining:
-                    witness = _least_image(g.half, chosen + [slot], witness)
+                    witness = _least_image(g.half, prefix + [slot], witness)
                 break
         else:
             if not trusted:
@@ -404,12 +385,12 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
             slot = witness.pop(0)
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
-        chosen.append(slot)
+        prefix.append(slot)
         covered |= cover[slot]
         near |= near_masks[slot]
-    if len(chosen) != size or covered != g.full_mask:
+    if len(prefix) != size or covered != g.full_mask:
         raise ValueError(f"no dominating set of size {size} exists in {g}")
-    return VertexSet(g, _slots_mask(g.n, chosen))
+    return VertexSet(g, _slots_mask(g.n, prefix))
 
 
 def _least_image(half: int, prefix: list[int], rest: list[int]) -> list[int]:
@@ -429,14 +410,14 @@ def _least_image(half: int, prefix: list[int], rest: list[int]) -> list[int]:
 
 
 def _completion(
-    g: KnodelGraph, covered: int, near: int, pool: int, planes: list[int], budget: int
-) -> tuple[int, ...] | None:
-    """Slots of some <= budget picks from pool that extend covered to
-    everything, or None.  near is closed_cover(covered) and planes
-    cover_counts(pool)."""
-    search = _Search(g, budget + 1, None, None, stop_on_first=True)
+    search: _Search, covered: int, near: int, pool: int, planes: list[int], budget: int
+) -> int | None:
+    """Slot mask of some <= budget picks from pool that extend covered to
+    everything, or None; search is a stop_on_first search of the graph.
+    near is closed_cover(covered) and planes cover_counts(pool)."""
+    search.bound = budget + 1
     try:
-        search.run(covered, near, pool, planes, 0, 0, 0, ())
+        search.run(covered, near, pool, planes, 0, 0)
     except _FoundAny:
-        return search.best_slots
+        return search.best
     return None

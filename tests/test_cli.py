@@ -16,6 +16,7 @@ from knodel import (
 )
 from knodel.cli import _MAX_EXACT_ORDER, _MAX_ORDER, _set_document, main
 from knodel.domination import VertexSet
+from knodel.graphs import neighbors
 
 
 def run(capsys, *argv):
@@ -277,6 +278,21 @@ def test_export_json_follows_the_offset_rule(capsys, delta):
     assert list(doc["adjacency"].items()) == list(expected.items())
 
 
+@pytest.mark.parametrize("delta,n", [(1, 2), (1, 6), (2, 12), (4, 16), (4, 34), (5, 64)])
+def test_export_json_bytes_match_json_dumps_of_the_whole_object(capsys, tmp_path, delta, n):
+    # export writes the object one vertex entry at a time; its bytes are
+    # those of json.dumps on the whole dict, to stdout and to --out alike.
+    g = build_graph(delta, n)
+    adjacency = {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
+    expected = json.dumps({"n": n, "delta": delta, "adjacency": adjacency}, indent=2) + "\n"
+    code, out, _ = run(capsys, "export", str(n), "--delta", str(delta), "--format", "json")
+    assert (code, out) == (0, expected)
+    path = tmp_path / "w.json"
+    assert run(capsys, "export", str(n), "--delta", str(delta), "--format", "json",
+               "--out", str(path))[0] == 0
+    assert path.read_bytes() == expected.encode()
+
+
 def test_export_other_degrees(capsys):
     code, out, _ = run(capsys, "export", "32", "--delta", "5", "--format", "edgelist")
     assert code == 0
@@ -356,6 +372,29 @@ def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
     assert str(limit) in err
     assert run(capsys, *argv, str(limit))[:2] == (0, "count 0\n")
     assert calls == [(2, limit, 0, 0)]
+
+
+def test_enum_seq_refuses_more_than_2_to_the_20_gap_sequences(capsys, monkeypatch):
+    # comb(total - 1, k - 1) sequences of k positive gaps sum to total; the
+    # count is checked before the census runs, and never built in full.
+    calls = []
+    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    argv = ["enum-seq", "--exact-in-m", "0", "--adj-max", "0"]
+    # comb(1448, 2) = 1,047,628 and comb(1449, 2) = 1,049,076 straddle 2**20.
+    for k, total in ((3, 1450), (4, 200), (10, 100_000), (500_000, 1_000_000)):
+        code, out, err = run(capsys, *argv, "--k", str(k), "--total", str(total))
+        assert (code, out) == (2, ""), (k, total)
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (k, total)
+    assert calls == []
+    # The census's largest set, comb(39, 5) = 575,757, and --k 2 at the
+    # largest --total stay accepted, as does a large k near total, where the
+    # count is small; (500_000, 1_000_000) above is refused without a huge
+    # intermediate.
+    for k, total in ((3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (999_999, 1_000_000)):
+        assert run(capsys, *argv, "--k", str(k), "--total", str(total))[:2] == (0, "count 0\n")
+    assert [a[:2] for a in calls] == [
+        (3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (999_999, 1_000_000)
+    ]
 
 
 def test_exact_solves_refuse_orders_over_the_exact_limit(capsys, monkeypatch):

@@ -15,7 +15,7 @@ from knodel import (
     is_dominating,
     solve_exact,
 )
-from knodel.domination import _slots_mask
+from knodel.domination import _positions
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _least_image, _pivot, _Search
@@ -114,7 +114,7 @@ def gap_need(half, chosen):
 
 
 def root_task_solve(g):
-    """The serial path before the single search: (value, slots, nodes).
+    """The serial path before the single search: (value, slot mask, nodes).
 
     The u_1 node is probed once, and its branches then run in order as root
     tasks on one search that carries the bound forward, each task starting
@@ -128,23 +128,20 @@ def root_task_solve(g):
     gap = -(-g.half // u_cap)
     pool = g.full_mask >> gap << gap
     cover, near = g.cover_masks, g.near_masks
-    search = _Search(g, bound, tuple(sorted(g.slot(x) for x in greedy)), None, u_cap=u_cap)
-    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 1, 0)
+    search = _Search(g, bound, greedy.mask, None, u_cap=u_cap)
+    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 0)
     for _, neg in root[1] if root else ():
         slot = -neg
         pool ^= 1 << slot
-        ups = 1 | (1 << slot if slot < g.half else 0)
         search.run(
             cover[0] | cover[slot],
             near[0] | near[slot],
             pool,
             g.cover_counts(pool),
-            2,
-            ups,
+            1 | 1 << slot,
             gap_need(g.half, (0, slot)) if u_cap < g.half else 0,
-            (0, slot),
         )
-    return search.bound, search.best_slots, search.nodes
+    return search.bound, search.best, search.nodes
 
 
 @pytest.mark.parametrize(
@@ -157,10 +154,10 @@ def test_parallel_value_matches_single_threaded(delta, n):
     # the single-threaded search must return their value, certificate and
     # node count.
     g = build_graph(delta, n)
-    value, slots, nodes = root_task_solve(g)
+    value, best, nodes = root_task_solve(g)
     result = solve_exact(g)
     assert result.value == value
-    assert result.certificate.mask == _slots_mask(g.n, slots)
+    assert result.certificate.mask == best
     assert is_dominating(g, result.certificate)
     assert len(result.certificate) == result.value
     if (delta, n) == (1, 2):
@@ -238,9 +235,9 @@ def scan_canonical(g, size):
         remaining = size - position - 1
         for slot in range(chosen[-1] + 1, g.n - remaining):
             trial, pool = covered | cover[slot], g.full_mask >> (slot + 1) << (slot + 1)
-            search = _Search(g, remaining + 1, None, None, stop_on_first=True)
+            search = _Search(g, remaining + 1, 0, None, stop_on_first=True)
             try:
-                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0, 0, ())
+                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0)
             except knodel.solver._FoundAny:
                 chosen.append(slot)
                 covered = trial
@@ -268,7 +265,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     # vouches for the slot the scan would have found, so only the searches
     # below it run: 1,620 (68 successful, 33,573 nodes) with the last
     # completion as found.  Its least image that keeps the prefix starts
-    # lower, so fewer searches run below it and fewer succeed.
+    # lower, so fewer searches run below it and fewer succeed.  They all run
+    # on one _Search per call, where a fresh one each gave 1,607 instances.
     found, searches = [], []
     completion = knodel.solver._completion
 
@@ -284,8 +282,10 @@ def test_canonical_search_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(knodel.solver, "_completion", counted)
     monkeypatch.setattr(knodel.solver, "_Search", RecordedSearch)
-    for n in range(16, 91, 2):
+    orders = range(16, 91, 2)
+    for n in orders:
         canonical_certificate(build_graph(4, n), gamma_formula(n).value)
+    assert len(searches) == len(orders)
     assert (len(found), sum(found)) == (1_607, 55)
     assert sum(search.nodes for search in searches) == 23_660
 
@@ -393,8 +393,8 @@ def test_fixing_u1_keeps_the_plain_search_value():
     for delta, n in VALID_UP_TO_64:
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
-        plain = _Search(g, len(greedy), tuple(g.slot(x) for x in greedy), None)
-        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0, 0, ())
+        plain = _Search(g, len(greedy), greedy.mask, None)
+        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0)
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -442,7 +442,7 @@ def scan_pivot(search, und, pool):
     return pivot, best_count
 
 
-def scan_branch_slots(search, covered, pool, size, upicks, need=0, forced_waste=True):
+def scan_branch_slots(search, covered, pool, picked, need=0, forced_waste=True):
     """Reference node: the ordered candidate slots, or None if closed.
 
     The prunes as first written, the bipartite one as a search over splits
@@ -450,8 +450,11 @@ def scan_branch_slots(search, covered, pool, size, upicks, need=0, forced_waste=
     need on the u-side share, the forced-waste one from
     its definition unless forced_waste is false, then the pivot scan over
     every undominated vertex with an AND and a bit count each; u-side
-    candidates go once upicks reaches the cap.
+    candidates go once the u-slots of the chosen slot mask picked reach the
+    cap.
     """
+    size = picked.bit_count()
+    upicks = (picked & search.u_mask).bit_count()
     und = search.full & ~covered
     if und == 0:
         return None
@@ -519,7 +522,11 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         upicks = caps.randint(0, size)
         u_cap = caps.choice((None, upicks, upicks + caps.randint(1, 3)))
         need = caps.choice((0, 0, caps.randint(1, 4)))
-        search = _Search(g, size + rng.randint(1, n), None, None, u_cap=u_cap)
+        # The kernel reads only how many slots picked holds, and how many of
+        # them on the u-side; a side holds at most half.
+        upicks = min(upicks, g.half)
+        picked = (1 << upicks) - 1 | ((1 << min(size - upicks, g.half)) - 1) << g.half
+        search = _Search(g, size + rng.randint(1, n), 0, None, u_cap=u_cap)
         planes = g.cover_counts(pool)
         counts = [(c & pool).bit_count() for c in g.cover_masks]
         assert plane_counts(planes, n) == counts
@@ -528,10 +535,8 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         if und:
             pivot, count = scan_pivot(search, und, pool)
             assert _pivot(und, planes) == (count and 1 << pivot)
-        expected = scan_branch_slots(search, covered, pool, size, upicks, need)
-        got = search.branch_slots(
-            covered, g.closed_cover(covered), pool, planes, size, upicks, need
-        )
+        expected = scan_branch_slots(search, covered, pool, picked, need)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, picked, need)
         if expected is None:
             assert got is None
         else:
@@ -588,42 +593,42 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         m = (g.full_mask & ~covered).bit_count()
         budget = -(-m // (delta + 1)) + rng.randint(0, 1)
         size = rng.randint(0, 2)
-        search = _Search(g, size + 1 + budget, None, None)
+        picked = ((1 << size) - 1) << g.half  # v-side slots, so no u-picks
+        search = _Search(g, size + 1 + budget, 0, None)
         planes = g.cover_counts(pool)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, size, 0, 0)
+        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, picked, 0)
         assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
-            search, covered, pool, size, 0
+            search, covered, pool, picked
         )
-        if got is None and scan_branch_slots(search, covered, pool, size, 0, 0, False) is not None:
+        if got is None and scan_branch_slots(search, covered, pool, picked, 0, False) is not None:
             closed_by_rule += 1
             assert not has_completion(g, covered, pool, budget)
     assert closed_by_rule > 0
 
 
 class CheckedSearch(_Search):
-    """A search that checks every node's carried masks, its u-slots and
+    """A search that checks every node's carried masks, its u-side cap and
     gap-rule need, and its kernel against the reference."""
 
     def __init__(self, g, *args, **kwargs):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def run(self, covered, near, pool, planes, size, ups, need, chosen):
-        u_slots = [slot for slot in chosen if slot < self.half]
-        assert ups == _slots_mask(self.graph.n, u_slots)
-        assert len(u_slots) <= self.u_cap
-        assert need == (gap_need(self.half, chosen) if self.u_cap < self.half else 0)
-        super().run(covered, near, pool, planes, size, ups, need, chosen)
+    def run(self, covered, near, pool, planes, picked, need):
+        assert (picked & self.u_mask).bit_count() <= self.u_cap
+        expected = gap_need(self.half, _positions(picked)) if self.u_cap < self.half else 0
+        assert need == expected
+        super().run(covered, near, pool, planes, picked, need)
 
-    def branch_slots(self, covered, near, pool, planes, size, upicks, need):
+    def branch_slots(self, covered, near, pool, planes, picked, need):
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
-        m, dd = (self.full & ~covered).bit_count(), self.delta + 1
+        size, m, dd = picked.bit_count(), (self.full & ~covered).bit_count(), self.delta + 1
         assert size <= 2 or size + -(-m // dd) < self.bound
-        expected = scan_branch_slots(self, covered, pool, size, upicks, need)
-        got = super().branch_slots(covered, near, pool, planes, size, upicks, need)
+        expected = scan_branch_slots(self, covered, pool, picked, need)
+        got = super().branch_slots(covered, near, pool, planes, picked, need)
         assert (got and [-neg for _, neg in got[1]]) == expected
         return got
 

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import operator
 import sys
 import time
 from pathlib import Path
@@ -57,11 +58,10 @@ def _set_document(ds: VertexSet) -> str:
 
 
 def _strictly_increasing_ints(value: object, key: str) -> list[int]:
-    if not isinstance(value, list) or any(
-        not isinstance(q, int) or isinstance(q, bool) for q in value
-    ):
+    # JSON gives int, bool, float, str, None, list or dict members; only int passes.
+    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
         raise ValueError(f'"{key}" must be an array of integers')
-    if any(b <= a for a, b in zip(value, value[1:])):
+    if not all(map(operator.lt, value, value[1:])):
         raise ValueError(f'"{key}" must be sorted and deduplicated')
     return value
 
@@ -135,9 +135,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("PASS")
         return 0
     print(f"FAIL undominated={len(missed)}")
-    for x in missed:
-        print(str(x))
+    _write_lines(_labels(missed), None)
     return 1
+
+
+def _labels(s: VertexSet) -> Iterator[str]:
+    """Labels of the members of s in slot order, one side's indices held at a time."""
+    yield from map("u{}".format, s.u_indices)
+    yield from map("v{}".format, s.v_indices)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

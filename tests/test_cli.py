@@ -13,6 +13,7 @@ from knodel import (
     construct_dominating_set,
     is_dominating,
     solve_exact,
+    undominated,
 )
 from knodel.cli import _MAX_EXACT_ORDER, _MAX_ORDER, _set_document, main
 from knodel.domination import VertexSet
@@ -112,27 +113,51 @@ def test_verify_empty_set_lists_every_vertex(capsys, tmp_path):
     assert len(lines) == 17
 
 
+# Each rejected document and the one stderr line verify prints for it; {path}
+# stands for the document's path.
+REJECTED_DOCUMENTS = {
+    '{"n": 16, "delta": 4, "u": [2, 1], "v": []}': '"u" must be sorted and deduplicated',
+    '{"n": 16, "delta": 4, "u": [1, 1], "v": []}': '"u" must be sorted and deduplicated',
+    '{"n": 16, "delta": 4, "u": [1, "2"], "v": []}': '"u" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [true], "v": []}': '"u" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [9], "v": []}': "vertex index 9 out of range [1, 8]",
+    '{"n": 16, "delta": 4, "u": [0], "v": []}': "vertex index 0 out of range [1, 8]",
+    '{"n": 16, "delta": 4, "v": []}': '{path} is missing the "u" key',
+    '{"n": 15, "delta": 4, "u": [], "v": []}': "order must be a positive even integer, got 15",
+    '{"n": "16", "delta": 4, "u": [], "v": []}': "order must be an integer, got '16'",
+    '{"n": 16, "delta": true, "u": [1, 2, 3, 4, 5, 6, 7, 8], "v": []}':
+        "degree must be an integer, got True",
+    "[1, 2]": "{path} must contain a JSON object",
+    "not json": "invalid JSON in {path}: Expecting value: line 1 column 1 (char 0)",
+    '{"n": 16, "delta": 4, "u": [1.0], "v": []}': '"u" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [], "v": [null]}': '"v" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [1, [2]], "v": []}': '"u" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [1], "v": [%d]}' % 10**30:
+        f"vertex index {10**30} out of range [1, 8]",
+    '{"n": 16, "delta": 4, "u": [3, 7, 0, 12, 9], "v": []}': '"u" must be sorted and deduplicated',
+}
+
+
+@pytest.mark.parametrize("n", [4096, 8194])
+def test_verify_fail_report_is_undominated_in_slot_order(capsys, tmp_path, n):
+    # 4,096 lines fill one write batch exactly; 8,194 spill into a third.
+    target = tmp_path / "empty.json"
+    target.write_text(json.dumps({"n": n, "delta": 4, "u": [], "v": []}))
+    code, out, _ = run(capsys, "verify", "--set", str(target))
+    g = build_graph(4, n)
+    assert code == 1
+    assert out == f"FAIL undominated={n}\n" + "".join(f"{x}\n" for x in undominated(g, VertexSet(g)))
+
+
 @pytest.mark.parametrize(
-    "doc",
-    [
-        '{"n": 16, "delta": 4, "u": [2, 1], "v": []}',
-        '{"n": 16, "delta": 4, "u": [1, 1], "v": []}',
-        '{"n": 16, "delta": 4, "u": [1, "2"], "v": []}',
-        '{"n": 16, "delta": 4, "u": [true], "v": []}',
-        '{"n": 16, "delta": 4, "u": [9], "v": []}',
-        '{"n": 16, "delta": 4, "u": [0], "v": []}',
-        '{"n": 16, "delta": 4, "v": []}',
-        '{"n": 15, "delta": 4, "u": [], "v": []}',
-        '{"n": "16", "delta": 4, "u": [], "v": []}',
-        '{"n": 16, "delta": true, "u": [1, 2, 3, 4, 5, 6, 7, 8], "v": []}',
-        "[1, 2]",
-        "not json",
-    ],
+    "doc, message", [pytest.param(doc, msg, id=doc) for doc, msg in REJECTED_DOCUMENTS.items()]
 )
-def test_verify_rejects_malformed_documents(capsys, tmp_path, doc):
+def test_verify_rejects_malformed_documents(capsys, tmp_path, doc, message):
     target = tmp_path / "doc.json"
     target.write_text(doc)
-    assert run(capsys, "verify", "--set", str(target))[0] == 2
+    code, out, err = run(capsys, "verify", "--set", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(path=target)}\n"
 
 
 def test_verify_rejects_missing_file_and_graph_mismatch(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from knodel import (
     undominated,
     v,
 )
+from knodel.domination import _positions, _slots_mask
 from knodel.graphs import KnodelGraph
 
 
@@ -53,6 +56,67 @@ def test_vertex_set_rejects_out_of_range_members():
 def test_from_indices_inverts_u_and_v_indices(g, data):
     s = data.draw(subsets_of(g))
     assert VertexSet.from_indices(g, s.u_indices, s.v_indices) == s
+
+
+def per_bit_positions(mask, base=0):
+    # Reference: the per-bit scan _positions replaced, numbered from base.
+    return [i + base for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def per_slot_mask(n, slots, base=0):
+    # Reference: the per-slot byte packing _slots_mask replaced.
+    buf = bytearray((n + 7) // 8)
+    for slot in slots:
+        slot -= base
+        buf[slot >> 3] |= 1 << (slot & 7)
+    return int.from_bytes(buf, "little")
+
+
+# Orders with n % 8 != 0, the smallest order, and one near the CLI's 2**21 limit.
+CONVERSION_ORDERS = (2, 3, 7, 8, 9, 26, 63, 64, 65, 130, 2**21 - 2)
+
+
+@pytest.mark.parametrize("n", CONVERSION_ORDERS)
+def test_positions_and_slots_mask_match_the_per_bit_references(n):
+    rng = random.Random(n)
+    sparse = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    masks = [0, 1 << (n - 1), sparse]
+    if n < 2**12:  # the per-bit references take seconds near 2**21
+        masks += [1, (1 << n) - 1, (1 << n) - 2, rng.getrandbits(n), rng.getrandbits(n) & sparse]
+    for mask in masks:
+        for base in (0, 1):
+            positions = _positions(mask, base)
+            assert positions == per_bit_positions(mask, base)
+            assert _slots_mask(n, positions, base) == mask
+            shuffled = positions + positions[: len(positions) // 2]
+            rng.shuffle(shuffled)
+            assert _slots_mask(n, shuffled, base) == per_slot_mask(n, shuffled, base) == mask
+    for base in (0, 1):
+        assert _slots_mask(n, [], base) == 0
+        assert _slots_mask(n, [base + n - 1], base) == 1 << (n - 1)
+
+
+def test_from_indices_names_the_first_offender_in_input_order():
+    g = build_graph(4, 16)
+    # The offender 9 is neither the minimum (0, later) nor the maximum (12, later).
+    cases = [
+        ((3, 9, 1, 0, 12), (), 9),
+        ((2, 4), (5, 9, 0, 12), 9),
+        ((0,), (12,), 0),
+        ((8, 1), (1, -3, 40), -3),
+    ]
+    for us, vs, bad in cases:
+        with pytest.raises(ValueError) as info:
+            VertexSet.from_indices(g, us, vs)
+        assert str(info.value) == f"vertex index {bad} out of range [1, 8]"
+
+
+def test_from_indices_takes_duplicates_and_any_order():
+    g = build_graph(4, 18)
+    s = VertexSet.from_indices(g, iter((9, 1, 9, 4)), [2, 2, 9, 1])
+    assert s.u_indices == (1, 4, 9) and s.v_indices == (1, 2, 9)
+    assert list(s) == [u(1), u(4), u(9), v(1), v(2), v(9)]
+    assert VertexSet.from_indices(g).mask == 0
 
 
 def test_verifier_builds_no_cover_table():

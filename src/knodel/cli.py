@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import operator
 import sys
 import time
@@ -32,8 +33,8 @@ __all__ = ["main"]
 
 # The largest order verify, construct, export and sweep accept: each builds
 # n-bit masks; export writes its lines as it makes them, so no more is held.
-# enum-seq accepts --total up to half of it: it counts collisions in
-# W(delta, 2 * total).
+# enum-seq accepts --total up to half of it: its gap sequences place
+# vertices on one side of W(delta, 2 * total), so it takes the same orders.
 _MAX_ORDER = 2**21
 # The largest order an exact solve accepts: solve_exact builds n cover masks
 # and n near masks of n bits each, about n^2 / 4 bytes (64 MB here).
@@ -41,6 +42,10 @@ _MAX_EXACT_ORDER = 2**14
 # The most compositions, comb(total - 1, k - 1), whose classes enum-seq
 # enumerates; --k 2 at the largest --total stays just under it.
 _MAX_COMPOSITIONS = 2**20
+# The longest gap sequence enum-seq enumerates.  Each prefix it keeps copies
+# up to k gaps, so its time grows as k**3 even where there are only k
+# compositions; the census needs k 5-6.
+_MAX_K = 64
 
 
 def _write_lines(lines: Iterable[str], out: str | None) -> None:
@@ -185,7 +190,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_enum_seq(args: argparse.Namespace) -> int:
     if args.total > _MAX_ORDER // 2:
         raise ValueError(f"--total {args.total} exceeds the limit {_MAX_ORDER // 2}")
-    if _compositions_exceed(args.total, args.k, _MAX_COMPOSITIONS):
+    if args.k > _MAX_K:
+        raise ValueError(f"--k {args.k} exceeds the limit {_MAX_K}")
+    if 1 <= args.k <= args.total and math.comb(args.total - 1, args.k - 1) > _MAX_COMPOSITIONS:
         raise ValueError(f"--k {args.k} --total {args.total}: over {_MAX_COMPOSITIONS} sequences")
     classes = enumerate_sequences(
         args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta
@@ -196,17 +203,6 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
     if args.expect is not None and args.expect != len(classes):
         return 1
     return 0
-
-
-def _compositions_exceed(total: int, k: int, limit: int) -> bool:
-    """Whether comb(total - 1, k - 1), the count of k positive gaps summing to
-    total, exceeds limit; comb(total - 1, i) grows up to i = min(k - 1, total - k)."""
-    count = 1
-    for i in range(1, min(k - 1, total - k) + 1):
-        count = count * (total - i) // i
-        if count > limit:
-            return True
-    return False
 
 
 def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:

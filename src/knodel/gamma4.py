@@ -115,16 +115,9 @@ def construct_dominating_set(n: int) -> VertexSet:
             v_indices = _progression(5, 5 * t)
         else:
             u_indices = _progression(1, 5 * t + 1)
-            base = _progression(5, 5 * t)
-            if residue == 2:
-                v_indices = base + (5 * t + 1,)
-            elif residue == 4:
-                v_indices = (3,) + base
-            elif residue == 6:
-                v_indices = (2, 3) + base
-            else:
-                extra = sorted((3, 5 * t - 2, 5 * t + 3))
-                v_indices = tuple(sorted(set(base) | set(extra)))
+            # v-side indices added to the multiples of 5; none is one itself.
+            extras = {2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}
+            v_indices = _progression(5, 5 * t) + extras[residue]
     ds = VertexSet.from_indices(g, u_indices, v_indices)
     _verify(g, ds, n)
     return ds

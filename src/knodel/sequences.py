@@ -16,6 +16,10 @@ filters:
 * how many adjacent cyclic gap pairs have their sum in m_delta (a second,
   longer-range way to force a common neighbour).
 
+A class's count of colliding pairs is colliding_pairs(build_graph(delta,
+2 * total), reconstruct_positions(cls.canonical)); the census filters on the
+two statistics alone and does not count them.
+
 enumerate_sequences generates least rotations only, depth first in
 lexicographic order, as a fixed-density prenecklace generator over the gaps
 (Ruskey & Sawada, "An efficient algorithm for generating necklaces with fixed
@@ -150,17 +154,12 @@ def common_neighbors(g: KnodelGraph, a: Vertex, b: Vertex) -> frozenset[Vertex]:
 
 @dataclass(frozen=True)
 class SequenceClass:
-    """A rotation class of gap sequences together with its filter statistics.
-
-    colliding_pairs counts chosen-vertex pairs sharing a neighbour in
-    W(delta, 2 * total); it is None when that graph does not exist, i.e.
-    when 2 * total < 2**delta.
-    """
+    """A rotation class of gap sequences together with its filter statistics:
+    its gaps in m_delta and its adjacent cyclic gap sums in m_delta."""
 
     canonical: CyclicSequence
     parts_in_m: int
     adjacent_sums_in_m: int
-    colliding_pairs: int | None
 
 
 def canonical_rotation(seq: CyclicSequence) -> CyclicSequence:
@@ -209,49 +208,22 @@ def enumerate_sequences(
     # Only members <= total are looked up, and 2**a - 2**b > total once
     # a > total.bit_length(), so a larger delta adds no member that matters.
     m = m_delta(min(delta, total.bit_length() + 1))
-    # Without W(delta, 2 * total) there are no collision counts.
-    try:
-        g = KnodelGraph(delta, 2 * total)
-    except ValueError:
-        g = None
     if k == 1:
         in_m = int(total in m)
         if in_m != parts_in_m_exact:
             return []
-        seq = CyclicSequence((total,), total)
-        return [SequenceClass(seq, in_m, 0, None if g is None else 0)]
-    # Bit e of close: vertices e apart, 1 <= e <= total // 2, share a
-    # neighbour.  across keeps the e < total / 2, the cyclic distances of a
-    # pair that straddles position 0.  No distance from reach on collides.
-    close = 0
-    if g is not None:
-        for e in range(1, total // 2 + 1):
-            if common_neighbor_predicate(g, u(1), u(1 + e)):
-                close |= 1 << e
-    across = close & ((1 << (total + 1) // 2) - 1)
-    reach = close.bit_length()
-    keep = (1 << reach) - 1
+        return [SequenceClass(CyclicSequence((total,), total), in_m, 0)]
     classes = []
     last = k - 1
     # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
-    # sums in m, p, near, collisions); p is the length of the prefix's longest
-    # Lyndon prefix.  A node's vertices sit at the prefix's partial sums.  An
-    # entry carries its parent's near (bit j: a vertex j < reach before the
-    # last one) and its parent's count of colliding pairs, and the node adds
-    # its own last vertex when popped, so siblings share one small near.
+    # sums in m, p); p is the length of the prefix's longest Lyndon prefix.
     # Children are pushed in descending order, so full sequences come off the
     # stack in lexicographic order.  A recursive nested function would be a
     # reference cycle that keeps each call's classes alive until a full gc.
-    stack: list[tuple[tuple[int, ...], int, int, int, int, int, int]] = [
-        ((), total, 0, 0, 1, 1, 0)
-    ]
+    stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), total, 0, 0, 1)]
     while stack:
-        t, remaining, in_m, sums_in_m, p, near, collisions = stack.pop()
+        t, remaining, in_m, sums_in_m, p = stack.pop()
         depth = len(t)
-        if depth:
-            near <<= t[-1]
-            collisions += (near & close).bit_count()
-            near = (near | 1) & keep
         if depth == last:
             # The last gap is forced; the sequence is its least rotation iff
             # it extends the prenecklace and k is a multiple of the new p.
@@ -263,16 +235,8 @@ def enumerate_sequences(
             sums_in_m += (t[-1] + gap in m) + (k > 2 and gap + t[0] in m)
             if sums_in_m > adjacent_sums_in_m_max:
                 continue
-            # Pairs across position 0: the first vertices, d after the last one.
-            d = gap
-            for q in t:
-                if d >= reach:
-                    break
-                collisions += ((near << d) & across).bit_count()
-                d += q
             seq = CyclicSequence(t + (gap,), total)
-            pairs = None if g is None else collisions
-            classes.append(SequenceClass(seq, parts_in_m_exact, sums_in_m, pairs))
+            classes.append(SequenceClass(seq, parts_in_m_exact, sums_in_m))
             continue
         if depth:
             # Every gap is at least g0 = t[0], the least; a prenecklace's
@@ -289,5 +253,5 @@ def enumerate_sequences(
             sums = sums_in_m + (prev + gap in m)
             if sums <= adjacent_sums_in_m_max:
                 lyndon = p if gap == lo else depth + 1
-                stack.append((t + (gap,), remaining - gap, count, sums, lyndon, near, collisions))
+                stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
     return classes

@@ -15,7 +15,7 @@ from knodel import (
     solve_exact,
     undominated,
 )
-from knodel.cli import _MAX_EXACT_ORDER, _MAX_ORDER, _set_document, main
+from knodel.cli import _MAX_EXACT_ORDER, _MAX_K, _MAX_ORDER, _set_document, main
 from knodel.domination import VertexSet
 from knodel.graphs import neighbors
 
@@ -405,21 +405,36 @@ def test_enum_seq_refuses_more_than_2_to_the_20_gap_sequences(capsys, monkeypatc
     calls = []
     monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
     argv = ["enum-seq", "--exact-in-m", "0", "--adj-max", "0"]
-    # comb(1448, 2) = 1,047,628 and comb(1449, 2) = 1,049,076 straddle 2**20.
-    for k, total in ((3, 1450), (4, 200), (10, 100_000), (500_000, 1_000_000)):
+    # comb(1448, 2) = 1,047,628 and comb(1449, 2) = 1,049,076 straddle 2**20,
+    # as do comb(67, 63) = 766,480 and comb(68, 63) = 10,424,128.
+    for k, total in ((3, 1450), (4, 200), (10, 100_000), (64, 69), (500_000, 1_000_000),
+                     (999_999, 1_000_000)):
         code, out, err = run(capsys, *argv, "--k", str(k), "--total", str(total))
         assert (code, out) == (2, ""), (k, total)
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (k, total)
     assert calls == []
     # The census's largest set, comb(39, 5) = 575,757, and --k 2 at the
-    # largest --total stay accepted, as does a large k near total, where the
-    # count is small; (500_000, 1_000_000) above is refused without a huge
-    # intermediate.
-    for k, total in ((3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (999_999, 1_000_000)):
+    # largest --total stay accepted, as does the largest k near total, where
+    # the count is small.
+    for k, total in ((3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (64, 68)):
         assert run(capsys, *argv, "--k", str(k), "--total", str(total))[:2] == (0, "count 0\n")
-    assert [a[:2] for a in calls] == [
-        (3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (999_999, 1_000_000)
-    ]
+    assert [a[:2] for a in calls] == [(3, 1449), (6, 40), (2, _MAX_ORDER // 2), (40, 40), (64, 68)]
+
+
+def test_enum_seq_refuses_k_over_the_limit(capsys, monkeypatch):
+    # A prefix copies up to k gaps, so time grows as k**3 even where there
+    # are only k compositions; the cap is checked before the census runs.
+    calls = []
+    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    argv = ["enum-seq", "--exact-in-m", "0", "--adj-max", "0"]
+    for k in (_MAX_K + 1, 999_999):
+        code, out, err = run(capsys, *argv, "--k", str(k), "--total", str(k + 1))
+        assert (code, out, calls) == (2, "", [])
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"--k {k} exceeds the limit {_MAX_K}" in err
+    at_limit = ["--k", str(_MAX_K), "--total", str(_MAX_K + 1)]
+    assert run(capsys, *argv, *at_limit)[:2] == (0, "count 0\n")
+    assert calls == [(_MAX_K, _MAX_K + 1, 0, 0)]
 
 
 def test_exact_solves_refuse_orders_over_the_exact_limit(capsys, monkeypatch):

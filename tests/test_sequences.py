@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from knodel import (
     CyclicSequence,
-    KnodelGraph,
     SequenceClass,
     build_graph,
     canonical_rotation,
     colliding_pairs,
-    common_neighbor_predicate,
     common_neighbors,
     cyclic_sequence,
     enumerate_sequences,
@@ -146,7 +144,6 @@ def brute_force_census(delta, k, total):
     # Every composition of total into k parts (cut points chosen with
     # itertools), kept when it is its own least rotation, with its statistics.
     m = m_delta(delta)
-    graph = build_graph(delta, 2 * total) if 2 * total >= 2**delta else None
     out = []
     for cuts in itertools.combinations(range(1, total), k - 1):
         bounds = (0, *cuts, total)
@@ -160,18 +157,14 @@ def brute_force_census(delta, k, total):
         else:
             sums = [gaps[i] + gaps[(i + 1) % k] for i in range(k)]
         seq = CyclicSequence(gaps, total)
-        collisions = None
-        if graph is not None:
-            collisions = colliding_pairs(graph, reconstruct_positions(seq))
         in_m = sum(1 for q in gaps if q in m)
-        out.append(SequenceClass(seq, in_m, sum(1 for q in sums if q in m), collisions))
+        out.append(SequenceClass(seq, in_m, sum(1 for q in sums if q in m)))
     return out
 
 
 def test_enumerate_matches_brute_force_census():
     # Whole SequenceClass lists, in order, for every exact count and adjacent
-    # maximum in 0..k; delta 2 (m_delta = {1}) has a graph for every total >= 2,
-    # delta 5 only from total 16 on.
+    # maximum in 0..k; delta 2 has m_delta = {1}.
     for delta in (2, 3, 4, 5):
         for k in range(1, 7):
             for total in range(k, 19):
@@ -189,14 +182,8 @@ def test_enumerate_matches_brute_force_census():
 
 def reference_enumerate(k, total, parts_in_m_exact, adjacent_sums_in_m_max, delta=4):
     # The census before it became a prenecklace generator: least rotations
-    # depth first from g0, a rotation check on each full sequence, and the
-    # colliding pairs counted over all position pairs of each class.
+    # depth first from g0 and a rotation check on each full sequence.
     m = m_delta(min(delta, total.bit_length() + 1))
-    try:
-        g = KnodelGraph(delta, 2 * total)
-        collide = [d and common_neighbor_predicate(g, u(1), u(1 + d)) for d in range(total)]
-    except ValueError:
-        collide = None
     classes = []
     stack = [((), total, 0, 0)]
     while stack:
@@ -217,11 +204,7 @@ def reference_enumerate(k, total, parts_in_m_exact, adjacent_sums_in_m_max, delt
         rotated = any(t[i] == t[0] and t[i:] + t[:i] < t for i in range(1, k))
         if rotated or sums_in_m > adjacent_sums_in_m_max:
             continue
-        collisions = None
-        if collide is not None:
-            positions = list(itertools.accumulate(t[:-1], initial=0))
-            collisions = sum(collide[b - a] for a, b in itertools.combinations(positions, 2))
-        classes.append(SequenceClass(CyclicSequence(t, total), in_m, sums_in_m, collisions))
+        classes.append(SequenceClass(CyclicSequence(t, total), in_m, sums_in_m))
     return classes
 
 
@@ -297,16 +280,16 @@ def test_enumerate_reports_consistent_statistics():
         assert cls.parts_in_m == 2 == sum(1 for q in gaps if q in m)
         assert cls.adjacent_sums_in_m == 0
         assert cls.canonical.half == 19
-        # Each gap in the difference set forces a colliding pair on its own.
-        assert cls.colliding_pairs is not None
-        assert cls.colliding_pairs >= cls.parts_in_m
 
 
-def test_enumerate_collision_counts_match_reconstruction():
-    for cls in enumerate_sequences(3, 13, 2, 0):
-        g = build_graph(4, 26)
-        s = reconstruct_positions(cls.canonical)
-        assert cls.colliding_pairs == colliding_pairs(g, s)
+def test_each_gap_in_m_forces_a_colliding_pair():
+    # A gap in m_delta puts two consecutive chosen vertices at a distance
+    # whose vertices share a neighbour; all 910 classes of a census set.
+    g = build_graph(4, 60)
+    classes = enumerate_sequences(5, 30, 2, 2)
+    assert len(classes) == 910
+    for cls in classes:
+        assert colliding_pairs(g, reconstruct_positions(cls.canonical)) >= cls.parts_in_m == 2
 
 
 def test_enumerate_edge_cases():
@@ -316,7 +299,6 @@ def test_enumerate_edge_cases():
     assert single[0].adjacent_sums_in_m == 0
     small = enumerate_sequences(2, 5, 2, 1)
     assert [c.canonical.gaps for c in small] == [(1, 4), (2, 3)]
-    assert all(c.colliding_pairs is None for c in small)
 
 
 @pytest.mark.parametrize(

@@ -197,9 +197,8 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
     classes = enumerate_sequences(
         args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta
     )
-    lines = [",".join(map(str, cls.canonical.gaps)) for cls in classes]
-    lines.append(f"count {len(classes)}")
-    print("\n".join(lines))
+    lines = (",".join(map(str, cls.canonical.gaps)) for cls in classes)
+    _write_lines(itertools.chain(lines, [f"count {len(classes)}"]), None)
     if args.expect is not None and args.expect != len(classes):
         return 1
     return 0

@@ -7,8 +7,7 @@ in n; it is the single source of truth for every construction and certificate.
 Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 Masks convert to and from index and slot lists (_positions, _slots_mask)
 through bin(), bytes.translate and itertools, linear in n with no Python
-loop per bit or index, yet they still cost more than the verifier: one
-side's indices take about 0.5 ms at n = 30,018, one closed_cover 0.02 ms.
+loop per bit or index.
 """
 
 from __future__ import annotations

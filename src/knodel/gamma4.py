@@ -91,13 +91,6 @@ class ConstructionError(RuntimeError):
         super().__init__(message)
 
 
-def _progression(first: int, last: int) -> tuple[int, ...]:
-    """Indices first, first+5, ..., last; last must be reachable by stride 5."""
-    if (last - first) % 5 != 0:
-        raise ValueError(f"endpoint {last} not reachable from {first} by stride 5")
-    return tuple(range(first, last + 1, 5))
-
-
 def construct_dominating_set(n: int) -> VertexSet:
     """An optimal dominating set of W(4, n), verified before it is returned.
 
@@ -111,13 +104,13 @@ def construct_dominating_set(n: int) -> VertexSet:
     else:
         t, residue = divmod(n, 10)
         if residue == 0:
-            u_indices = _progression(1, 5 * t - 4)
-            v_indices = _progression(5, 5 * t)
+            u_indices = range(1, 5 * t - 3, 5)
+            v_indices = range(5, 5 * t + 1, 5)
         else:
-            u_indices = _progression(1, 5 * t + 1)
+            u_indices = range(1, 5 * t + 2, 5)
             # v-side indices added to the multiples of 5; none is one itself.
             extras = {2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}
-            v_indices = _progression(5, 5 * t) + extras[residue]
+            v_indices = [*range(5, 5 * t + 1, 5), *extras[residue]]
     ds = VertexSet.from_indices(g, u_indices, v_indices)
     _verify(g, ds, n)
     return ds

@@ -1,4 +1,4 @@
-"""Exact minimum dominating sets by branch and bound, with a brute-force oracle.
+"""Exact minimum dominating sets by branch and bound.
 
 The search works on slot bitmasks.  Each node picks an undominated vertex x
 whose closed neighbourhood meets the fewest remaining candidates and branches
@@ -72,14 +72,13 @@ the identical certificate and node count.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
 from .domination import VertexSet, _positions, _slots_mask, gamma_bounds, greedy_upper_bound
 from .graphs import KnodelGraph
 
-__all__ = ["SolveResult", "solve_exact", "brute_force_min", "canonical_certificate"]
+__all__ = ["SolveResult", "solve_exact", "canonical_certificate"]
 
 
 @dataclass(frozen=True)
@@ -304,32 +303,6 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
     elapsed = time.perf_counter() - start
     certificate = VertexSet(g, search.best)
     return SolveResult(value, lower, search.bound, certificate, search.nodes, elapsed)
-
-
-def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
-    """First dominating set in size order, subsets lexicographic by slot.
-
-    Checks every subset of size 1, 2, ..., max_size and returns the first
-    one that dominates, or None when no set of size <= max_size dominates.
-    Intended as an independent oracle for small orders.
-    """
-    if max_size < 0:
-        raise ValueError(f"max_size must be non-negative, got {max_size}")
-    start = time.perf_counter()
-    cover = g.cover_masks
-    full = g.full_mask
-    checked = 0
-    for k in range(1, max_size + 1):
-        for combo in itertools.combinations(range(g.n), k):
-            checked += 1
-            covered = 0
-            for slot in combo:
-                covered |= cover[slot]
-            if covered == full:
-                elapsed = time.perf_counter() - start
-                certificate = VertexSet(g, _slots_mask(g.n, combo))
-                return SolveResult(k, k, k, certificate, checked, elapsed)
-    return None
 
 
 def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:

@@ -1,3 +1,12 @@
+"""The CLI through main: outputs, exit codes, limits and byte-stable exports.
+
+- The streamed JSON export is compared, byte for byte, with json.dumps of
+  the whole adjacency object.
+- The enum-seq limits are checked on both sides: --total, the number of
+  gap sequences and --k.  enum-seq output that spans more than one write
+  batch equals the lines built from enumerate_sequences.
+"""
+
 import json
 import os
 import subprocess
@@ -11,6 +20,7 @@ from knodel import (
     build_graph,
     canonical_certificate,
     construct_dominating_set,
+    enumerate_sequences,
     is_dominating,
     solve_exact,
     undominated,
@@ -261,6 +271,15 @@ def test_enum_seq_output_and_expectation(capsys):
 def test_enum_seq_rejects_bad_parameters(capsys):
     assert run(capsys, "enum-seq", "--k", "0", "--total", "13",
                "--exact-in-m", "0", "--adj-max", "0")[0] == 2
+
+
+def test_enum_seq_streams_more_than_one_batch(capsys):
+    # 4,994 classes cross _write_lines' batch of 4,096 lines.
+    classes = enumerate_sequences(2, 10000, 0, 2)
+    expected = "".join(",".join(map(str, c.canonical.gaps)) + "\n" for c in classes)
+    argv = ["enum-seq", "--k", "2", "--total", "10000", "--exact-in-m", "0", "--adj-max", "2"]
+    assert run(capsys, *argv) == (0, expected + "count 4994\n", "")
+    assert run(capsys, *argv, "--expect", "4993") == (1, expected + "count 4994\n", "")
 
 
 def test_export_edgelist(capsys):

@@ -1,3 +1,9 @@
+"""Each library module's __all__ is the only list of its public names.
+
+knodel.__all__ is their union, pinned to 32 names, and the index calculus is
+defined in sequences.py only.
+"""
+
 import importlib
 import pkgutil
 
@@ -47,12 +53,12 @@ def test_package_names_are_the_module_objects(name):
 PUBLIC_NAMES = [
     "ConstructionError", "CyclicSequence", "EXCEPTIONAL_ORDERS", "GammaFormulaResult",
     "KnodelGraph", "SequenceClass", "Side", "SolveResult", "Vertex", "VertexSet",
-    "brute_force_min", "build_graph", "canonical_certificate", "canonical_rotation",
-    "closed_neighborhood", "colliding_pairs", "common_neighbor_predicate",
-    "common_neighbors", "construct_dominating_set", "cyclic_sequence",
-    "enumerate_sequences", "gamma_bounds", "gamma_formula", "greedy_upper_bound",
-    "index_distance", "is_dominating", "m_delta", "neighbors", "reconstruct_positions",
-    "solve_exact", "u", "undominated", "v",
+    "build_graph", "canonical_certificate", "canonical_rotation", "closed_neighborhood",
+    "colliding_pairs", "common_neighbor_predicate", "common_neighbors",
+    "construct_dominating_set", "cyclic_sequence", "enumerate_sequences",
+    "gamma_bounds", "gamma_formula", "greedy_upper_bound", "index_distance",
+    "is_dominating", "m_delta", "neighbors", "reconstruct_positions", "solve_exact",
+    "u", "undominated", "v",
 ]
 
 

@@ -1,4 +1,9 @@
-"""The README's Library examples and CLI transcripts, run as written."""
+"""The README's Library examples and CLI transcripts, run as written.
+
+The Library block runs through doctest, and every "$ knodel ..." transcript
+through main, so a changed value or node count cannot leave the README
+stale.  The README is also held to at most 200 lines.
+"""
 
 import doctest
 import json
@@ -66,3 +71,17 @@ def test_verify_transcript_runs_on_the_document_shown(capsys, monkeypatch, tmp_p
     monkeypatch.chdir(tmp_path)
     assert main(["verify", "--set", "bad28.json"]) == 1
     assert capsys.readouterr().out.splitlines() == shown["knodel verify --set bad28.json"]
+
+
+def test_sweep_transcript_matches_main_outside_elapsed_ms(capsys):
+    # elapsed_ms is wall-clock time; criterion 8 ignores the same column.
+    expected = transcripts()["knodel sweep --from 16 --to 48 | head -3"]
+    assert main(["sweep", "--from", "16", "--to", "48"]) == 0
+    head = capsys.readouterr().out.splitlines()[:3]
+    drop_elapsed = lambda lines: [line.rsplit(",", 1)[0] for line in lines]
+    assert len(expected) == 3
+    assert drop_elapsed(head) == drop_elapsed(expected)
+
+
+def test_readme_has_at_most_200_lines():
+    assert len(README.splitlines()) <= 200

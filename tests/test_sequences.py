@@ -1,3 +1,15 @@
+"""The gap-sequence calculus and its census, against the simple code it replaced.
+
+- The census is compared with an itertools brute force over every
+  composition, whole SequenceClass lists in order, at degrees 2 to 5, and
+  on three parameter sets with a filter over raw itertools tuples.
+- It is also compared, whole lists in order, with a copy of the generator it
+  replaced (a rotation check on each full sequence).  The comparison covers
+  the benchmark's six parameter sets and every k <= 6, total <= 24 at
+  degrees 3 and 4.
+- Periodic classes such as (2, 3, 2, 3) are checked to appear once.
+"""
+
 import itertools
 
 import pytest

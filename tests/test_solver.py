@@ -1,3 +1,42 @@
+"""The exact solver and canonical_certificate, against the simple paths they replaced.
+
+- The solver agrees with the brute-force oracle (tests/oracles.py) on
+  W(4, 16..24) and a few graphs of degrees 2, 3 and 5.
+- Its bit-plane node kernel is compared with the pivot scan it replaced, on
+  random search states of every valid graph with n <= 64 and at every node
+  of whole searches.  Serial node counts are pinned for one order per
+  residue class and for 88, 128, 198 and 508.
+- The single serial search is compared with the root-task path it replaced
+  (the u_1 node probed, then each branch run as a task) on W(4, 16..200)
+  and every valid graph with n <= 64.  Value, certificate and node count
+  agree, except that W(1, 2) now closes at its root with 0 nodes instead
+  of 1.
+- Every node that the forced-waste bound closes on random states of
+  degrees 1 to 6 is checked to have no completion by an exhaustive search.
+- The symmetry cut is checked twice.  Every dominating set of size at most
+  gamma of W(2, 8..14), W(3, 16..20) and W(4, 16..22), listed by brute
+  force, has an image under the rotations and the swap that the cut keeps
+  and whose cyclic u-gaps are all at most its first.  And on every valid
+  graph with n <= 64 the solver's value equals that of the same search run
+  from the empty root without the cut.
+- At every node of whole searches, the gap rule's need is checked against a
+  recomputation from the carried mask of chosen slots, and its u-side picks
+  against the cap.
+- canonical_certificate is compared, at gamma and gamma + 1, with the
+  per-slot scan it replaced (a fresh search for every candidate slot, no
+  witness) on W(4, 16..90) and every valid graph with n <= 64, at gamma
+  also on W(4, 92..200).  It is compared with a lexicographic brute force
+  over all subsets of that size on W(2, 4..20), W(3, 8..22) and
+  W(4, 16..20).  Its number of searches over W(4, 16..90) at gamma is
+  pinned (1,607; 1,620 before witnesses came from the orbit), all of them
+  run on one search per call, and every node of its searches checks the
+  carried bit planes and near masks.
+- The helper that picks a witness from the orbit is compared with all n
+  label-level images of every minimum dominating set of the orbit test's
+  eleven graphs, at every prefix length.  Every witness the scan adopts is
+  checked to dominate with exactly size slots above the prefix.
+"""
+
 import functools
 import itertools
 import operator
@@ -6,7 +45,6 @@ import random
 import pytest
 
 from knodel import (
-    brute_force_min,
     build_graph,
     canonical_certificate,
     gamma_bounds,
@@ -19,6 +57,7 @@ from knodel.domination import _positions
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _least_image, _pivot, _Search
+from oracles import brute_force_min
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 from .domination import VertexSet, undominated
 from .gamma4 import ConstructionError, construct_dominating_set, gamma_formula
 from .graphs import KnodelGraph, Side, build_graph
-from .sequences import enumerate_sequences
+from .sequences import _census
 from .solver import canonical_certificate, solve_exact
 
 __all__ = ["main"]
@@ -40,7 +40,8 @@ _MAX_ORDER = 2**21
 # and n near masks of n bits each, about n^2 / 4 bytes (64 MB here).
 _MAX_EXACT_ORDER = 2**14
 # The most compositions, comb(total - 1, k - 1), whose classes enum-seq
-# enumerates; --k 2 at the largest --total stays just under it.
+# enumerates; --k 2 at the largest --total stays just under it.  It bounds
+# time only: enum-seq writes each class as the census yields it.
 _MAX_COMPOSITIONS = 2**20
 # The longest gap sequence enum-seq enumerates.  Each prefix it keeps copies
 # up to k gaps, so its time grows as k**3 even where there are only k
@@ -48,12 +49,15 @@ _MAX_COMPOSITIONS = 2**20
 _MAX_K = 64
 
 
-def _write_lines(lines: Iterable[str], out: str | None) -> None:
-    """Write each line and a newline to the file out, else to stdout, in batches."""
+def _write_lines(lines: Iterable[str], out: str | None) -> int:
+    """Write each line and a newline to the file out, else to stdout, in batches; count them."""
+    written = 0
     with open(out, "w") if out is not None else contextlib.nullcontext(sys.stdout) as f:
         rest = iter(lines)
         while batch := list(itertools.islice(rest, 4096)):
             f.write("\n".join(batch) + "\n")
+            written += len(batch)
+    return written
 
 
 def _set_document(ds: VertexSet) -> str:
@@ -194,14 +198,11 @@ def _cmd_enum_seq(args: argparse.Namespace) -> int:
         raise ValueError(f"--k {args.k} exceeds the limit {_MAX_K}")
     if 1 <= args.k <= args.total and math.comb(args.total - 1, args.k - 1) > _MAX_COMPOSITIONS:
         raise ValueError(f"--k {args.k} --total {args.total}: over {_MAX_COMPOSITIONS} sequences")
-    classes = enumerate_sequences(
-        args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta
-    )
-    lines = (",".join(map(str, cls.canonical.gaps)) for cls in classes)
-    _write_lines(itertools.chain(lines, [f"count {len(classes)}"]), None)
-    if args.expect is not None and args.expect != len(classes):
-        return 1
-    return 0
+    census = _census(args.k, args.total, args.exact_in_m, args.adj_max, delta=args.delta)
+    fmt = ",".join(["%d"] * args.k)
+    count = _write_lines((fmt % gaps for gaps, _ in census), None)
+    print(f"count {count}")
+    return 1 if args.expect is not None and args.expect != count else 0
 
 
 def _edges(g: KnodelGraph) -> Iterator[tuple[int, int]]:

@@ -20,7 +20,10 @@ A class's count of colliding pairs is colliding_pairs(build_graph(delta,
 2 * total), reconstruct_positions(cls.canonical)); the census filters on the
 two statistics alone and does not count them.
 
-enumerate_sequences generates least rotations only, depth first in
+One private generator, _census, is the census: it yields each kept class's
+gaps and adjacent sums in m_delta, and has two consumers, enumerate_sequences
+(a list of SequenceClass) and the enum-seq command (one line per class, so
+its memory stays flat).  It generates least rotations only, depth first in
 lexicographic order, as a fixed-density prenecklace generator over the gaps
 (Ruskey & Sawada, "An efficient algorithm for generating necklaces with fixed
 density", SIAM J. Comput. 29, 1999; Cattell, Ruskey, Sawada, Serra & Miers,
@@ -31,14 +34,15 @@ the length of the prefix's longest Lyndon prefix, the next gap is at least
 the one p places back, and a full sequence is its least rotation iff p
 divides k.  A prefix is dropped once its gaps or adjacent sums in m_delta
 pass their limits, or its gaps in m_delta can no longer reach the exact
-count.
+count.  A leaf, a full sequence whose last gap is forced, is checked in its
+parent's loop over the second-to-last gap and never pushed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
 from typing import Iterable, Iterator
 
 from .graphs import KnodelGraph, Vertex, neighbors, u
@@ -101,15 +105,16 @@ class CyclicSequence:
     half: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gaps", tuple(self.gaps))
-        if not self.gaps:
+        gaps = self.gaps
+        if type(gaps) is not tuple:
+            gaps = tuple(gaps)
+            object.__setattr__(self, "gaps", gaps)
+        if not gaps:
             raise ValueError("gap sequence must be non-empty")
-        if any(not isinstance(q, int) or q <= 0 for q in self.gaps):
-            raise ValueError(f"gaps must be positive integers, got {self.gaps}")
-        if sum(self.gaps) != self.half:
-            raise ValueError(
-                f"gaps {self.gaps} sum to {sum(self.gaps)}, expected {self.half}"
-            )
+        if not all(map(isinstance, gaps, repeat(int))) or min(gaps) <= 0:
+            raise ValueError(f"gaps must be positive integers, got {gaps}")
+        if sum(gaps) != self.half:
+            raise ValueError(f"gaps {gaps} sum to {sum(gaps)}, expected {self.half}")
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -185,6 +190,75 @@ def colliding_pairs(g: KnodelGraph, s: frozenset[Vertex]) -> int:
     return sum(a.side is b.side and common_neighbor_predicate(g, a, b) for a, b in pairs)
 
 
+def _census(
+    k: int, total: int, parts_in_m_exact: int, adjacent_sums_in_m_max: int, delta: int = 4
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Check the arguments now; the iterator returned yields (gaps, adjacent sums
+    in m_delta) per kept class, gaps its least rotation, in lexicographic order."""
+    if k < 1:
+        raise ValueError(f"sequence length must be at least 1, got {k}")
+    if total < k:
+        raise ValueError(f"total {total} cannot be split into {k} positive gaps")
+    if parts_in_m_exact < 0 or adjacent_sums_in_m_max < 0:
+        raise ValueError("filter counts must be non-negative")
+    # Only members <= total are looked up, and 2**a - 2**b > total once
+    # a > total.bit_length(), so a larger delta adds no member that matters.
+    m = m_delta(min(delta, total.bit_length() + 1))
+    return _least_rotations(k, total, m, parts_in_m_exact, adjacent_sums_in_m_max)
+
+
+def _least_rotations(
+    k: int, total: int, m: frozenset[int], exact: int, sums_max: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    if k == 1:
+        if (total in m) == exact:
+            yield (total,), 0
+        return
+    last = k - 1
+    # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
+    # sums in m, p); p is the length of the prefix's longest Lyndon prefix.
+    # Children are pushed in descending order, so prefixes come off the stack
+    # in lexicographic order.  Prefixes of k - 1 gaps are never pushed: their
+    # last gap is forced, so their parent checks them as it makes them.
+    stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), total, 0, 0, 1)]
+    while stack:
+        t, remaining, in_m, sums_in_m, p = stack.pop()
+        depth = len(t)
+        if depth:
+            # Every gap is at least g0 = t[0], the least; a prenecklace's
+            # next gap is at least the one p places back.
+            lo, hi, prev = t[depth - p], remaining - (last - depth) * t[0], t[-1]
+        else:
+            # prev = -total: the first gap has no adjacent sum before it.
+            lo, hi, prev = 1, total // k, -total
+        if depth < last - 1:
+            short = exact - (last - depth)
+            for gap in range(hi, lo - 1, -1):
+                count = in_m + (gap in m)
+                if count > exact or count < short:
+                    continue
+                sums = sums_in_m + (prev + gap in m)
+                if sums <= sums_max:
+                    lyndon = p if gap == lo else depth + 1
+                    stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
+            continue
+        for gap in range(lo, hi + 1):
+            end = remaining - gap
+            if in_m + (gap in m) + (end in m) != exact:
+                continue
+            # t + (gap, end) is its least rotation iff end extends the
+            # prenecklace t + (gap,) and k is a multiple of the new p.
+            prefix = t + (gap,)
+            lyndon = p if gap == lo else depth + 1
+            back = prefix[last - lyndon]
+            if end < back or (end == back and k % lyndon):
+                continue
+            sums = sums_in_m + (prev + gap in m) + (gap + end in m)
+            sums += k > 2 and end + prefix[0] in m
+            if sums <= sums_max:
+                yield prefix + (end,), sums
+
+
 def enumerate_sequences(
     k: int,
     total: int,
@@ -199,59 +273,5 @@ def enumerate_sequences(
     Classes are returned sorted by their canonical gap tuple.  An infeasible
     filter combination yields an empty list.
     """
-    if k < 1:
-        raise ValueError(f"sequence length must be at least 1, got {k}")
-    if total < k:
-        raise ValueError(f"total {total} cannot be split into {k} positive gaps")
-    if parts_in_m_exact < 0 or adjacent_sums_in_m_max < 0:
-        raise ValueError("filter counts must be non-negative")
-    # Only members <= total are looked up, and 2**a - 2**b > total once
-    # a > total.bit_length(), so a larger delta adds no member that matters.
-    m = m_delta(min(delta, total.bit_length() + 1))
-    if k == 1:
-        in_m = int(total in m)
-        if in_m != parts_in_m_exact:
-            return []
-        return [SequenceClass(CyclicSequence((total,), total), in_m, 0)]
-    classes = []
-    last = k - 1
-    # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
-    # sums in m, p); p is the length of the prefix's longest Lyndon prefix.
-    # Children are pushed in descending order, so full sequences come off the
-    # stack in lexicographic order.  A recursive nested function would be a
-    # reference cycle that keeps each call's classes alive until a full gc.
-    stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), total, 0, 0, 1)]
-    while stack:
-        t, remaining, in_m, sums_in_m, p = stack.pop()
-        depth = len(t)
-        if depth == last:
-            # The last gap is forced; the sequence is its least rotation iff
-            # it extends the prenecklace and k is a multiple of the new p.
-            gap, lo = remaining, t[depth - p]
-            if gap < lo or (gap == lo and k % p):
-                continue
-            if in_m + (gap in m) != parts_in_m_exact:
-                continue
-            sums_in_m += (t[-1] + gap in m) + (k > 2 and gap + t[0] in m)
-            if sums_in_m > adjacent_sums_in_m_max:
-                continue
-            seq = CyclicSequence(t + (gap,), total)
-            classes.append(SequenceClass(seq, parts_in_m_exact, sums_in_m))
-            continue
-        if depth:
-            # Every gap is at least g0 = t[0], the least; a prenecklace's
-            # next gap is at least the one p places back.
-            lo, hi, prev = t[depth - p], remaining - (last - depth) * t[0], t[-1]
-        else:
-            # prev = -total: the first gap has no adjacent sum before it.
-            lo, hi, prev = 1, total // k, -total
-        short = parts_in_m_exact - (last - depth)
-        for gap in range(hi, lo - 1, -1):
-            count = in_m + (gap in m)
-            if count > parts_in_m_exact or count < short:
-                continue
-            sums = sums_in_m + (prev + gap in m)
-            if sums <= adjacent_sums_in_m_max:
-                lyndon = p if gap == lo else depth + 1
-                stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
-    return classes
+    census = _census(k, total, parts_in_m_exact, adjacent_sums_in_m_max, delta)
+    return [SequenceClass(CyclicSequence(g, total), parts_in_m_exact, s) for g, s in census]

@@ -3,14 +3,21 @@
 - The streamed JSON export is compared, byte for byte, with json.dumps of
   the whole adjacency object.
 - The enum-seq limits are checked on both sides: --total, the number of
-  gap sequences and --k.  enum-seq output that spans more than one write
-  batch equals the lines built from enumerate_sequences.
+  gap sequences and --k, each before the census generator is called.
+- enum-seq and enumerate_sequences, the two consumers of one census
+  generator, are compared line for line on every k <= 6, total <= 24,
+  degree 2 to 5 and filter 0 to 3, and on the benchmark's six sets.
+- enum-seq writes its lines while the census runs: its output is on stdout
+  before a failing census stops, and its traced memory stays under 3 MB.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +32,15 @@ from knodel import (
     solve_exact,
     undominated,
 )
-from knodel.cli import _MAX_EXACT_ORDER, _MAX_K, _MAX_ORDER, _set_document, main
+from knodel.cli import (
+    _MAX_EXACT_ORDER,
+    _MAX_K,
+    _MAX_ORDER,
+    _build_parser,
+    _census,
+    _set_document,
+    main,
+)
 from knodel.domination import VertexSet
 from knodel.graphs import neighbors
 
@@ -282,6 +297,89 @@ def test_enum_seq_streams_more_than_one_batch(capsys):
     assert run(capsys, *argv, "--expect", "4993") == (1, expected + "count 4994\n", "")
 
 
+CENSUS_SETS = [(6, 40, 2, 1), (6, 36, 2, 1), (6, 32, 1, 1), (5, 40, 1, 0), (5, 36, 2, 1),
+               (5, 30, 2, 2)]
+ENUM_SEQ = _build_parser()
+
+
+def enum_seq_stdout(k, total, exact, adj, delta=4, expect=None):
+    # main minus building its parser, which costs more than a small census.
+    argv = ["enum-seq", "--k", str(k), "--total", str(total), "--exact-in-m", str(exact),
+            "--adj-max", str(adj), "--delta", str(delta)]
+    if expect is not None:
+        argv += ["--expect", str(expect)]
+    args = ENUM_SEQ.parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = args.func(args)
+    return code, out.getvalue()
+
+
+def census_text(classes):
+    lines = [",".join(map(str, c.canonical.gaps)) for c in classes]
+    return "".join(line + "\n" for line in lines + [f"count {len(classes)}"])
+
+
+def test_enum_seq_prints_what_enumerate_sequences_returns():
+    # The command and the library are the two consumers of one census
+    # generator; infeasible filters (exact > k) print "count 0" alone.  The
+    # library runs once at the loosest --adj-max, filtered for the others.
+    for k in range(1, 7):
+        for total in range(k, 25):
+            for delta in (2, 3, 4, 5):
+                for exact in range(4):
+                    loosest = enumerate_sequences(k, total, exact, 3, delta)
+                    for adj in range(4):
+                        kept = [c for c in loosest if c.adjacent_sums_in_m <= adj]
+                        got = enum_seq_stdout(k, total, exact, adj, delta)
+                        assert got == (0, census_text(kept)), (k, total, exact, adj, delta)
+    # An --expect mismatch still prints the whole census, then exits 1.
+    for params in CENSUS_SETS:
+        classes = enumerate_sequences(*params)
+        expected, count = census_text(classes), len(classes)
+        assert enum_seq_stdout(*params) == (0, expected), params
+        assert enum_seq_stdout(*params, expect=count) == (0, expected), params
+        assert enum_seq_stdout(*params, expect=count + 1) == (1, expected), params
+
+
+def test_enum_seq_writes_lines_while_the_census_runs(capsys, monkeypatch):
+    # A census that fails after 5,000 classes has already written its first
+    # batch of 4,096 lines: nothing waits for the whole census.
+    def failing(*args, **kwargs):
+        for i, cls in enumerate(_census(*args, **kwargs)):
+            if i == 5_000:
+                raise RuntimeError("census stopped")
+            yield cls
+
+    monkeypatch.setattr("knodel.cli._census", failing)
+    argv = ["enum-seq", "--k", "2", "--total", "20000", "--exact-in-m", "0", "--adj-max", "2"]
+    with pytest.raises(RuntimeError):
+        main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= 4_096
+    assert lines[0] == "5,19995"
+
+
+class _Sink(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_enum_seq_memory_stays_flat(monkeypatch):
+    # 32,762 classes, 382 KB of text.  Holding them as SequenceClass objects
+    # takes about 11 MB under tracemalloc; streamed, the peak is under 1 MB.
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    tracemalloc.start()
+    try:
+        code = main(["enum-seq", "--k", "2", "--total", "65536", "--exact-in-m", "0",
+                     "--adj-max", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3_000_000
+
+
 def test_export_edgelist(capsys):
     code, out, _ = run(capsys, "export", "16", "--format", "edgelist")
     assert code == 0
@@ -407,7 +505,7 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
     # The limit is checked before the census builds anything.
     calls = []
-    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    monkeypatch.setattr("knodel.cli._census", lambda *a, **kw: calls.append(a) or [])
     limit = _MAX_ORDER // 2
     argv = ["enum-seq", "--k", "2", "--exact-in-m", "0", "--adj-max", "0", "--total"]
     code, out, err = run(capsys, *argv, str(limit + 1))
@@ -422,7 +520,7 @@ def test_enum_seq_refuses_more_than_2_to_the_20_gap_sequences(capsys, monkeypatc
     # comb(total - 1, k - 1) sequences of k positive gaps sum to total; the
     # count is checked before the census runs, and never built in full.
     calls = []
-    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    monkeypatch.setattr("knodel.cli._census", lambda *a, **kw: calls.append(a) or [])
     argv = ["enum-seq", "--exact-in-m", "0", "--adj-max", "0"]
     # comb(1448, 2) = 1,047,628 and comb(1449, 2) = 1,049,076 straddle 2**20,
     # as do comb(67, 63) = 766,480 and comb(68, 63) = 10,424,128.
@@ -444,7 +542,7 @@ def test_enum_seq_refuses_k_over_the_limit(capsys, monkeypatch):
     # A prefix copies up to k gaps, so time grows as k**3 even where there
     # are only k compositions; the cap is checked before the census runs.
     calls = []
-    monkeypatch.setattr("knodel.cli.enumerate_sequences", lambda *a, **kw: calls.append(a) or [])
+    monkeypatch.setattr("knodel.cli._census", lambda *a, **kw: calls.append(a) or [])
     argv = ["enum-seq", "--exact-in-m", "0", "--adj-max", "0"]
     for k in (_MAX_K + 1, 999_999):
         code, out, err = run(capsys, *argv, "--k", str(k), "--total", str(k + 1))

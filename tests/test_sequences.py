@@ -8,6 +8,8 @@
   the benchmark's six parameter sets and every k <= 6, total <= 24 at
   degrees 3 and 4.
 - Periodic classes such as (2, 3, 2, 3) are checked to appear once.
+- CyclicSequence's accepted inputs (any iterable of positive ints, bools
+  included, stored as a tuple) and its error messages are pinned.
 """
 
 import itertools
@@ -62,6 +64,38 @@ def gap_tuples():
 
 def rotations(gaps):
     return [gaps[i:] + gaps[:i] for i in range(len(gaps))]
+
+
+@pytest.mark.parametrize(
+    "gaps,half,message",
+    [
+        ((), 0, "gap sequence must be non-empty"),
+        ([], 0, "gap sequence must be non-empty"),
+        ((13, 0), 13, "gaps must be positive integers, got (13, 0)"),
+        ((14, -1), 13, "gaps must be positive integers, got (14, -1)"),
+        ((0, "a"), 13, "gaps must be positive integers, got (0, 'a')"),
+        ((6.5, 6.5), 13, "gaps must be positive integers, got (6.5, 6.5)"),
+        ([3, "5", 5], 13, "gaps must be positive integers, got (3, '5', 5)"),
+        ((3, 5, 4), 13, "gaps (3, 5, 4) sum to 12, expected 13"),
+        ([True, 1], 3, "gaps (True, 1) sum to 2, expected 3"),
+    ],
+)
+def test_cyclic_sequence_rejects_bad_gaps_with_pinned_messages(gaps, half, message):
+    with pytest.raises(ValueError) as exc:
+        CyclicSequence(gaps, half)
+    assert str(exc.value) == message
+
+
+def test_cyclic_sequence_accepts_lists_iterators_and_bools_as_tuples():
+    # Any iterable of positive ints (bools included) is stored as a plain
+    # tuple; a tuple is kept as given.
+    gaps = (3, 5, 5)
+    assert CyclicSequence(gaps, 13).gaps is gaps
+    for given_gaps in ([3, 5, 5], iter([3, 5, 5]), (q for q in gaps)):
+        seq = CyclicSequence(given_gaps, 13)
+        assert type(seq.gaps) is tuple and seq == CyclicSequence(gaps, 13)
+    flags = CyclicSequence([True, True], 2)
+    assert flags.gaps == (True, True) and type(flags.gaps) is tuple
 
 
 def test_canonical_rotation_known_values():

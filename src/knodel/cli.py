@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .domination import VertexSet, undominated
-from .gamma4 import ConstructionError, construct_dominating_set, gamma_formula
+from .gamma4 import MIN_ORDER, ConstructionError, construct_dominating_set, gamma_formula
 from .graphs import KnodelGraph, Side, build_graph
 from .sequences import _census
 from .solver import canonical_certificate, solve_exact
@@ -60,10 +61,12 @@ def _write_lines(lines: Iterable[str], out: str | None) -> int:
     return written
 
 
+def _index_arrays(ds: VertexSet) -> dict[str, list[int]]:
+    return {"u": list(ds.u_indices), "v": list(ds.v_indices)}
+
+
 def _set_document(ds: VertexSet) -> str:
-    g = ds.graph
-    doc = {"n": g.n, "delta": g.delta, "u": list(ds.u_indices), "v": list(ds.v_indices)}
-    return json.dumps(doc)
+    return json.dumps({"n": ds.graph.n, "delta": ds.graph.delta, **_index_arrays(ds)})
 
 
 def _strictly_increasing_ints(value: object, key: str) -> list[int]:
@@ -113,10 +116,7 @@ def _cmd_gamma(args: argparse.Namespace) -> int:
             certificate = canonical_certificate(g, result.value)
         doc["exact"] = result.value
         doc["nodes"] = result.nodes_explored
-        doc["certificate"] = {
-            "u": list(certificate.u_indices),
-            "v": list(certificate.v_indices),
-        }
+        doc["certificate"] = _index_arrays(certificate)
     if args.method == "both":
         doc["agree"] = doc["formula"] == doc["exact"]
     print(json.dumps(doc))
@@ -157,38 +157,45 @@ def _labels(s: VertexSet) -> Iterator[str]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.start % 2 or args.stop % 2:
         raise ValueError("sweep bounds must be even")
+    if args.start < MIN_ORDER:
+        raise ValueError(f"--from {args.start} is below the smallest order {MIN_ORDER}")
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     if args.stop > _MAX_ORDER:
         raise ValueError(f"--to {args.stop} exceeds the order limit {_MAX_ORDER}")
+    if args.budget is not None and not args.budget >= 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     if args.budget != 0 and args.stop > _MAX_EXACT_ORDER:
         raise ValueError(
             f"--to {args.stop} exceeds the exact-solve limit {_MAX_EXACT_ORDER}; "
             "--budget 0 skips the solver"
         )
-    rows = ["n,formula,exact,agree,construct_ok,elapsed_ms"]
-    any_failure = False
-    for n in range(args.start, args.stop + 2, 2):
-        started = time.perf_counter()
-        formula = gamma_formula(n).value
-        exact = "unknown"
-        agree = ""
-        if args.budget != 0:
-            result = solve_exact(build_graph(4, n), time_budget=args.budget)
-            if result.is_exact:
-                exact = str(result.value)
-                agree = "true" if result.value == formula else "false"
-        try:
-            construct_dominating_set(n)
-            construct_ok = "true"
-        except ConstructionError:
-            construct_ok = "false"
-        if agree == "false" or construct_ok == "false":
-            any_failure = True
-        elapsed_ms = round((time.perf_counter() - started) * 1000)
-        rows.append(f"{n},{formula},{exact},{agree},{construct_ok},{elapsed_ms}")
-    _write_lines(rows, args.out)
-    return 1 if any_failure else 0
+    failures = []
+
+    def rows() -> Iterator[str]:
+        yield "n,formula,exact,agree,construct_ok,elapsed_ms"
+        for n in range(args.start, args.stop + 2, 2):
+            started = time.perf_counter()
+            formula = gamma_formula(n).value
+            exact = "unknown"
+            agree = ""
+            if args.budget != 0:
+                result = solve_exact(build_graph(4, n), time_budget=args.budget)
+                if result.is_exact:
+                    exact = str(result.value)
+                    agree = "true" if result.value == formula else "false"
+            try:
+                construct_dominating_set(n)
+                construct_ok = "true"
+            except ConstructionError:
+                construct_ok = "false"
+            if agree == "false" or construct_ok == "false":
+                failures.append(n)
+            elapsed_ms = round((time.perf_counter() - started) * 1000)
+            yield f"{n},{formula},{exact},{agree},{construct_ok},{elapsed_ms}"
+
+    _write_lines(rows(), args.out)
+    return 1 if failures else 0
 
 
 def _cmd_enum_seq(args: argparse.Namespace) -> int:
@@ -251,7 +258,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process at the first main call; each
+    parse_args call fills a fresh Namespace, so no state carries over."""
     parser = argparse.ArgumentParser(
         prog="knodel",
         description="Domination numbers, certificates and exports for Knödel graphs.",

@@ -1,9 +1,15 @@
 """The CLI through main: outputs, exit codes, limits and byte-stable exports.
 
+- Every command is driven through main, the one dispatch path, so every
+  case also covers main's exit codes and its one "error: " line.  main
+  builds its parser once per process; no state carries from one call to
+  the next.
 - The streamed JSON export is compared, byte for byte, with json.dumps of
   the whole adjacency object.
 - The enum-seq limits are checked on both sides: --total, the number of
   gap sequences and --k, each before the census generator is called.
+- sweep checks every argument before it opens --out, then writes each row
+  as it is solved.
 - enum-seq and enumerate_sequences, the two consumers of one census
   generator, are compared line for line on every k <= 6, total <= 24,
   degree 2 to 5 and filter 0 to 3, and on the benchmark's six sets.
@@ -11,6 +17,7 @@
   before a failing census stops, and its traced memory stays under 3 MB.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,6 +25,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -256,12 +264,47 @@ def test_sweep_is_deterministic_outside_timing(capsys):
         ("sweep", "--from", "16", "--to", "20", "--budget", "-1"),
         ("sweep", "--from", "16", "--to", "20", "--budget", "nan"),
         ("sweep", "--from", "16"),
+        ("sweep", "--from", "14", "--to", "20"),
+        ("sweep", "--from", "16", "--to", str(_MAX_ORDER + 2), "--budget", "0"),
+        ("sweep", "--from", "16", "--to", str(_MAX_EXACT_ORDER + 2)),
     ],
 )
-def test_sweep_rejects_bad_arguments(capsys, argv):
+def test_sweep_rejects_bad_arguments(capsys, tmp_path, argv):
+    # Every check runs before --out is opened, so a refused sweep leaves no file.
     code, out, _ = run(capsys, *argv)
     assert code == 2
     assert out == ""
+    target = tmp_path / "sweep.csv"
+    assert run(capsys, *argv, "--out", str(target))[0] == 2
+    assert not target.exists()
+
+
+def test_sweep_budget_errors_name_the_option(capsys):
+    for value in ("-1", "nan"):
+        code, _, err = run(capsys, "sweep", "--from", "16", "--to", "20", "--budget", value)
+        assert (code, err) == (2, f"error: --budget must be >= 0, got {float(value)}\n")
+
+
+def test_sweep_opens_out_before_solving(capsys, monkeypatch, tmp_path):
+    # An unwritable --out is refused before the first of 53 orders is solved.
+    solved = []
+    monkeypatch.setattr("knodel.cli.solve_exact", lambda g, time_budget=None: solved.append(g.n))
+    target = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--from", "16", "--to", "120", "--out", str(target))
+    assert (code, out, solved) == (2, "", [])
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_sweep_writes_every_row_and_exits_1_on_a_disagreement(capsys, monkeypatch):
+    # The rows stream out as they are solved; a disagreement at 18 still
+    # sets the exit code once every row is written.
+    wrong_at_18 = lambda n: types.SimpleNamespace(value=5 if n == 18 else 4)
+    monkeypatch.setattr("knodel.cli.gamma_formula", wrong_at_18)
+    code, out, _ = run(capsys, "sweep", "--from", "16", "--to", "20")
+    masked = [line.rsplit(",", 1)[0] for line in out.splitlines()]
+    assert code == 1
+    assert masked == ["n,formula,exact,agree,construct_ok", "16,4,4,true,true",
+                      "18,5,4,false,true", "20,4,4,true,true"]
 
 
 def test_enum_seq_output_and_expectation(capsys):
@@ -299,19 +342,17 @@ def test_enum_seq_streams_more_than_one_batch(capsys):
 
 CENSUS_SETS = [(6, 40, 2, 1), (6, 36, 2, 1), (6, 32, 1, 1), (5, 40, 1, 0), (5, 36, 2, 1),
                (5, 30, 2, 2)]
-ENUM_SEQ = _build_parser()
 
 
 def enum_seq_stdout(k, total, exact, adj, delta=4, expect=None):
-    # main minus building its parser, which costs more than a small census.
     argv = ["enum-seq", "--k", str(k), "--total", str(total), "--exact-in-m", str(exact),
             "--adj-max", str(adj), "--delta", str(delta)]
     if expect is not None:
         argv += ["--expect", str(expect)]
-    args = ENUM_SEQ.parse_args(argv)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = args.func(args)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == "", argv
     return code, out.getvalue()
 
 
@@ -466,6 +507,44 @@ def test_thread_env_is_ignored(capsys, monkeypatch):
 def test_missing_subcommand_is_a_usage_error(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_main_builds_one_parser_however_often_it_runs(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    _build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "gamma", "16", "--method", "formula")[0] == 0
+    assert built.count("knodel") == 1
+    first = len(built)
+    for argv in (("gamma", "18"), ("construct", "16"), ("export", "16", "--format", "dot"),
+                 ("frobnicate",), ("sweep", "--from", "16", "--to", "16")):
+        run(capsys, *argv)
+    assert len(built) == first
+
+
+def test_main_carries_no_state_between_calls(capsys, tmp_path):
+    # The shared parser fills each call's options from their defaults.
+    code, out, _ = run(capsys, "gamma", "36", "--canonical")
+    assert code == 0 and json.loads(out)["certificate"] == {"u": [1, 2, 10, 11], "v": [6, 7, 15, 16]}
+    code, out, _ = run(capsys, "gamma", "36")
+    assert code == 0 and json.loads(out)["certificate"] == {"u": [1, 9, 10, 18], "v": [5, 6, 14, 15]}
+
+    target = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", "--from", "16", "--to", "18", "--out", str(target))[:2] == (0, "")
+    code, out, _ = run(capsys, "sweep", "--from", "16", "--to", "18")
+    assert code == 0 and len(out.splitlines()) == 3
+
+    d16, d18 = tmp_path / "d16.json", tmp_path / "d18.json"
+    assert run(capsys, "construct", "16", "--out", str(d16))[0] == 0
+    assert run(capsys, "construct", "18", "--out", str(d18))[0] == 0
+    assert run(capsys, "verify", "--set", str(d16), "--graph", "16", "4")[:2] == (0, "PASS\n")
+    assert run(capsys, "verify", "--set", str(d18)) == (0, "PASS\n", "")
 
 
 def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path):

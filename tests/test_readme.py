@@ -2,16 +2,21 @@
 
 The Library block runs through doctest, and every "$ knodel ..." transcript
 through main, so a changed value or node count cannot leave the README
-stale.  The README is also held to at most 200 lines.
+stale; `python -m knodel` runs the gamma transcript in a fresh interpreter.
+The README is also held to at most 200 lines.
 """
 
 import doctest
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import knodel
 from knodel import construct_dominating_set
 from knodel.cli import main
 
@@ -85,3 +90,14 @@ def test_sweep_transcript_matches_main_outside_elapsed_ms(capsys):
 
 def test_readme_has_at_most_200_lines():
     assert len(README.splitlines()) <= 200
+
+
+def test_python_m_knodel_passes_output_and_exit_code_through():
+    # src/knodel/__main__.py hands main's return value to SystemExit.
+    env = dict(os.environ, PYTHONPATH=str(Path(knodel.__file__).parents[1]))
+    knodel_m = [sys.executable, "-m", "knodel", "gamma"]
+    ok = subprocess.run([*knodel_m, "36"], capture_output=True, text=True, env=env)
+    assert (ok.returncode, ok.stdout.splitlines()) == (0, transcripts()["knodel gamma 36"])
+    bad = subprocess.run([*knodel_m, "37"], capture_output=True, text=True, env=env)
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert len(bad.stderr.splitlines()) == 1 and bad.stderr.startswith("error: ")

@@ -13,11 +13,10 @@ loop per bit or index.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Iterable, Iterator
 
-from .graphs import KnodelGraph, Vertex
+from .graphs import KnodelGraph, Vertex, _check_int, _Record
 
 __all__ = [
     "VertexSet",
@@ -51,16 +50,16 @@ def _slots_mask(n: int, slots: Iterable[int], base: int = 0) -> int:
     return int(flags[::-1].translate(_TO_DIGITS), 2)
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(_Record):
     """An immutable subset of a graph's vertices, backed by a slot bitmask."""
 
-    graph: KnodelGraph
-    mask: int = 0
+    __slots__ = __match_args__ = ("graph", "mask")
 
-    def __post_init__(self) -> None:
-        if self.mask < 0 or self.mask >> self.graph.n:
+    def __init__(self, graph: KnodelGraph, mask: int = 0) -> None:
+        _check_int("mask", mask)
+        if mask < 0 or mask >> graph.n:
             raise ValueError("mask has bits outside the graph's slot range")
+        self._set(graph, mask)
 
     @classmethod
     def of(cls, graph: KnodelGraph, vertices: Iterable[Vertex]) -> "VertexSet":

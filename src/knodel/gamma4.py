@@ -10,10 +10,8 @@ table, and every result is re-verified before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .domination import VertexSet, undominated
-from .graphs import KnodelGraph, Vertex, build_graph
+from .graphs import KnodelGraph, Vertex, _Record, build_graph
 
 __all__ = [
     "EXCEPTIONAL_ORDERS",
@@ -37,20 +35,19 @@ EXCEPTIONAL_ORDERS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class GammaFormulaResult:
+class GammaFormulaResult(_Record):
     """Domination number of W(4, n) together with how it decomposes.
 
     value = 2 * t + addend where t = floor(n / 10); residue is n mod 10 and
     exceptional flags the six orders handled outside the residue pattern.
     """
 
-    n: int
-    t: int
-    residue: int
-    addend: int
-    value: int
-    exceptional: bool
+    __slots__ = __match_args__ = ("n", "t", "residue", "addend", "value", "exceptional")
+
+    def __init__(
+        self, n: int, t: int, residue: int, addend: int, value: int, exceptional: bool
+    ) -> None:
+        self._set(n, t, residue, addend, value, exceptional)
 
 
 def _check_order(n: int) -> None:

@@ -23,13 +23,14 @@ the solver's forced-waste test, so it ORs the shifts in its own loop.  The
 solver's per-slot tables, cover_masks and near_masks (radius one and two),
 are built once per graph.  Index distances and gap sequences are in
 sequences.py.
+_Record, the base of every record class, behaves as a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
+from operator import attrgetter
 from typing import Iterator
 
 __all__ = [
@@ -43,6 +44,47 @@ __all__ = [
 ]
 
 
+def _check_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class _Record:
+    """A frozen-dataclass-like record over the fields named in __match_args__.
+    A subclass's __init__ checks its arguments and stores them with _set;
+    pickle and copy rebuild a record through __init__ from its field values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(attrgetter(*cls.__match_args__))
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values
+
+
 class Side(str, enum.Enum):
     """Bipartition class of a vertex: U for u-labelled, V for v-labelled."""
 
@@ -50,12 +92,19 @@ class Side(str, enum.Enum):
     V = "v"
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+@total_ordering
+class Vertex(_Record):
     """A labelled vertex of some Knödel graph; ordering is U-side first."""
 
-    side: Side
-    index: int
+    __slots__ = __match_args__ = ("side", "index")
+
+    def __init__(self, side: Side, index: int) -> None:
+        self._set(side, index)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.side.value}{self.index}"
@@ -71,25 +120,21 @@ def v(index: int) -> Vertex:
     return Vertex(Side.V, index)
 
 
-@dataclass(frozen=True)
-class KnodelGraph:
+class KnodelGraph(_Record):
     """The Knödel graph W(delta, n), stored as its two parameters only."""
 
-    delta: int
-    n: int
+    __match_args__ = ("delta", "n")  # no __slots__: cached_property needs a __dict__
 
-    def __post_init__(self) -> None:
-        for name, value in (("order", self.n), ("degree", self.delta)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n < 2 or self.n % 2 != 0:
-            raise ValueError(f"order must be a positive even integer, got {self.n}")
-        if self.delta < 1:
-            raise ValueError(f"degree must be at least 1, got {self.delta}")
-        if self.n >> self.delta == 0:
-            raise ValueError(
-                f"degree {self.delta} requires order at least 2**{self.delta}, got {self.n}"
-            )
+    def __init__(self, delta: int, n: int) -> None:
+        _check_int("order", n)
+        _check_int("degree", delta)
+        if n < 2 or n % 2 != 0:
+            raise ValueError(f"order must be a positive even integer, got {n}")
+        if delta < 1:
+            raise ValueError(f"degree must be at least 1, got {delta}")
+        if n >> delta == 0:
+            raise ValueError(f"degree {delta} requires order at least 2**{delta}, got {n}")
+        self._set(delta, n)
 
     @property
     def half(self) -> int:
@@ -105,6 +150,7 @@ class KnodelGraph:
         """Raise ValueError unless x is a vertex of this graph."""
         if not isinstance(x, Vertex):
             raise ValueError(f"not a vertex: {x!r}")
+        _check_int("vertex index", x.index)
         if not 1 <= x.index <= self.half:
             raise ValueError(f"vertex {x} out of range: index must be in [1, {self.half}]")
 

@@ -40,12 +40,11 @@ parent's loop over the second-to-last gap and never pushed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, repeat
 from typing import Iterable, Iterator
 
-from .graphs import KnodelGraph, Vertex, neighbors, u
+from .graphs import KnodelGraph, Vertex, _Record, neighbors, u
 
 __all__ = [
     "m_delta",
@@ -92,8 +91,7 @@ def index_distance(g: KnodelGraph, a: Vertex, b: Vertex) -> int:
     return min(d, g.half - d)
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
+class CyclicSequence(_Record):
     """Gap sequence of a set of same-side indices around the cycle Z_{n/2}.
 
     gaps[j] is the index step from the j-th chosen vertex to the next in
@@ -101,20 +99,17 @@ class CyclicSequence:
     positive and sum to half = n/2.
     """
 
-    gaps: tuple[int, ...]
-    half: int
+    __slots__ = __match_args__ = ("gaps", "half")
 
-    def __post_init__(self) -> None:
-        gaps = self.gaps
-        if type(gaps) is not tuple:
-            gaps = tuple(gaps)
-            object.__setattr__(self, "gaps", gaps)
+    def __init__(self, gaps: tuple[int, ...], half: int) -> None:
+        gaps = tuple(gaps)
         if not gaps:
             raise ValueError("gap sequence must be non-empty")
         if not all(map(isinstance, gaps, repeat(int))) or min(gaps) <= 0:
             raise ValueError(f"gaps must be positive integers, got {gaps}")
-        if sum(gaps) != self.half:
-            raise ValueError(f"gaps {gaps} sum to {sum(gaps)}, expected {self.half}")
+        if sum(gaps) != half:
+            raise ValueError(f"gaps {gaps} sum to {sum(gaps)}, expected {half}")
+        self._set(gaps, half)
 
     def __len__(self) -> int:
         return len(self.gaps)
@@ -157,14 +152,16 @@ def common_neighbors(g: KnodelGraph, a: Vertex, b: Vertex) -> frozenset[Vertex]:
     return neighbors(g, a) & neighbors(g, b)
 
 
-@dataclass(frozen=True)
-class SequenceClass:
+class SequenceClass(_Record):
     """A rotation class of gap sequences together with its filter statistics:
     its gaps in m_delta and its adjacent cyclic gap sums in m_delta."""
 
-    canonical: CyclicSequence
-    parts_in_m: int
-    adjacent_sums_in_m: int
+    __slots__ = __match_args__ = ("canonical", "parts_in_m", "adjacent_sums_in_m")
+
+    def __init__(
+        self, canonical: CyclicSequence, parts_in_m: int, adjacent_sums_in_m: int
+    ) -> None:
+        self._set(canonical, parts_in_m, adjacent_sums_in_m)
 
 
 def canonical_rotation(seq: CyclicSequence) -> CyclicSequence:

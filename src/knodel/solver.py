@@ -73,16 +73,14 @@ the identical certificate and node count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .domination import VertexSet, _positions, _slots_mask, gamma_bounds, greedy_upper_bound
-from .graphs import KnodelGraph
+from .graphs import KnodelGraph, _Record
 
 __all__ = ["SolveResult", "solve_exact", "canonical_certificate"]
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """Outcome of an exact search.
 
     value is the domination number, or None when a time budget expired
@@ -90,12 +88,15 @@ class SolveResult:
     value and certificate is a dominating set of size upper.
     """
 
-    value: int | None
-    lower: int
-    upper: int
-    certificate: VertexSet
-    nodes_explored: int
-    elapsed: float
+    __slots__ = __match_args__ = (
+        "value", "lower", "upper", "certificate", "nodes_explored", "elapsed"
+    )
+
+    def __init__(
+        self, value: int | None, lower: int, upper: int, certificate: VertexSet,
+        nodes_explored: int, elapsed: float,
+    ) -> None:
+        self._set(value, lower, upper, certificate, nodes_explored, elapsed)
 
     @property
     def is_exact(self) -> bool:

@@ -14,6 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knodel import (
+    Side,
+    Vertex,
     VertexSet,
     build_graph,
     closed_neighborhood,
@@ -118,6 +120,24 @@ def test_from_indices_names_the_first_offender_in_input_order():
         with pytest.raises(ValueError) as info:
             VertexSet.from_indices(g, us, vs)
         assert str(info.value) == f"vertex index {bad} out of range [1, 8]"
+
+
+@pytest.mark.parametrize("mask", [1.5, True, False, "3", None])
+def test_vertex_set_rejects_masks_that_are_not_integers(mask):
+    with pytest.raises(ValueError, match=f"^mask must be an integer, got {mask!r}$"):
+        VertexSet(build_graph(4, 16), mask)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 16])
+def test_vertex_set_rejects_masks_outside_the_slot_range(mask):
+    with pytest.raises(ValueError, match="^mask has bits outside the graph's slot range$"):
+        VertexSet(build_graph(4, 16), mask)
+
+
+def test_membership_rejects_a_non_integer_index():
+    s = VertexSet.from_indices(build_graph(4, 16), (1,))
+    with pytest.raises(ValueError, match="^vertex index must be an integer, got 2.0$"):
+        Vertex(Side.U, 2.0) in s
 
 
 def test_from_indices_takes_duplicates_and_any_order():

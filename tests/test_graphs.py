@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from knodel import (
     CyclicSequence,
     Side,
+    Vertex,
     build_graph,
     common_neighbor_predicate,
     common_neighbors,
@@ -64,9 +65,16 @@ def test_neighbors_known_values():
 
 def test_neighbors_rejects_out_of_range_vertices():
     g = build_graph(4, 16)
-    for x in (u(0), u(9), v(0), v(9), u(-3)):
+    for x in (u(0), u(9), v(0), v(9), u(-3), u(2.0), v(True)):
         with pytest.raises(ValueError):
             neighbors(g, x)
+
+
+@pytest.mark.parametrize("index", [2.0, True, "2", None])
+def test_check_vertex_rejects_indices_that_are_not_integers(index):
+    g = build_graph(4, 16)
+    with pytest.raises(ValueError, match=f"^vertex index must be an integer, got {index!r}$"):
+        g.slot(Vertex(Side.U, index))
 
 
 def test_adjacency_is_regular_bipartite_and_symmetric_up_to_64():

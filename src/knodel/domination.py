@@ -7,13 +7,13 @@ in n; it is the single source of truth for every construction and certificate.
 Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 Masks convert to and from index and slot lists (_positions, _slots_mask)
 through bin(), bytes.translate and itertools, linear in n with no Python
-loop per bit or index.
+loop per bit or index; a range of slots is set with one extended-slice store.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
 from .graphs import KnodelGraph, Vertex, _check_int, _Record
@@ -39,13 +39,21 @@ def _positions(mask: int, base: int = 0) -> list[int]:
     return list(compress(range(base, base + len(flags)), flags))
 
 
-def _slots_mask(n: int, slots: Iterable[int], base: int = 0) -> int:
-    """Bitmask over n slots with bit s - base set for each s in slots.
+def _slots_mask(n: int, *parts: Iterable[int], base: int = 0) -> int:
+    """Bitmask over n slots with bit s - base set for each s in the parts.
 
-    Every s must lie in [base, base + n); callers check their ranges.
+    A range part is set with one extended-slice store, any other part one
+    slot at a time.  Every s must lie in [base, base + n); callers check.
     """
     flags = bytearray(base + n)
-    deque(map(flags.__setitem__, slots, repeat(1)), maxlen=0)
+    for part in parts:
+        if isinstance(part, range):
+            if part.step < 0:
+                part = part[::-1]  # ascending, so that a stop of -1 cannot wrap
+            if part:  # an empty range's stop may be negative too
+                flags[part.start : part.stop : part.step] = b"\1" * len(part)
+        else:
+            deque(map(flags.__setitem__, part, repeat(1)), maxlen=0)
     del flags[:base]
     return int(flags[::-1].translate(_TO_DIGITS), 2)
 
@@ -72,15 +80,28 @@ class VertexSet(_Record):
         graph: KnodelGraph,
         u_indices: Iterable[int] = (),
         v_indices: Iterable[int] = (),
+        v_extra: Iterable[int] = (),
     ) -> "VertexSet":
-        """Set {u_i : i in u_indices} | {v_j : j in v_indices}."""
+        """Set {u_i : i in u_indices} | {v_j : j in v_indices or v_extra}.
+
+        A range is checked at its two ends and set with one slice store, any
+        other iterable index by index; v_extra adds a few indices to a range.
+        """
         half = graph.half
-        us, vs = list(u_indices), list(v_indices)
-        for side in (us, vs):
-            if side and not 1 <= min(side) <= max(side) <= half:
-                bad = next(i for i in side if not 1 <= i <= half)
-                raise ValueError(f"vertex index {bad} out of range [1, {half}]")
-        return cls(graph, _slots_mask(half, us, 1) | _slots_mask(half, vs, 1) << half)
+        sides = [s if isinstance(s, range) else list(s) for s in (u_indices, v_indices, v_extra)]
+        try:
+            for side in filter(None, sides):
+                ends = (side[0], side[-1]) if isinstance(side, range) else side
+                if not 1 <= min(ends) <= max(ends) <= half:
+                    bad = next(i for i in side if not 1 <= i <= half)
+                    raise ValueError(f"vertex index {bad} out of range [1, {half}]")
+            us, vs, extra = sides
+            mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, extra, base=1) << half
+        except TypeError:
+            for i in chain(*sides):
+                _check_int("vertex index", i)
+            raise
+        return cls(graph, mask)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -98,17 +98,14 @@ def construct_dominating_set(n: int) -> VertexSet:
     g = build_graph(4, n)
     if n in EXCEPTIONAL_ORDERS:
         u_indices, v_indices = EXCEPTIONAL_ORDERS[n]
+        extras: tuple[int, ...] = ()
     else:
         t, residue = divmod(n, 10)
-        if residue == 0:
-            u_indices = range(1, 5 * t - 3, 5)
-            v_indices = range(5, 5 * t + 1, 5)
-        else:
-            u_indices = range(1, 5 * t + 2, 5)
-            # v-side indices added to the multiples of 5; none is one itself.
-            extras = {2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}
-            v_indices = [*range(5, 5 * t + 1, 5), *extras[residue]]
-    ds = VertexSet.from_indices(g, u_indices, v_indices)
+        u_indices = range(1, 5 * t - 3 if residue == 0 else 5 * t + 2, 5)
+        v_indices = range(5, 5 * t + 1, 5)
+        # v-side indices added to the multiples of 5; none is one itself.
+        extras = {0: (), 2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}[residue]
+    ds = VertexSet.from_indices(g, u_indices, v_indices, extras)
     _verify(g, ds, n)
     return ds
 

@@ -94,11 +94,18 @@ class Side(str, enum.Enum):
 
 @total_ordering
 class Vertex(_Record):
-    """A labelled vertex of some Knödel graph; ordering is U-side first."""
+    """A labelled vertex of some Knödel graph; ordering is U-side first.
+
+    A side equal to Side.U or Side.V (such as "u") is stored as that member.
+    """
 
     __slots__ = __match_args__ = ("side", "index")
 
     def __init__(self, side: Side, index: int) -> None:
+        if side.__class__ is not Side:
+            if side not in ("u", "v"):
+                raise ValueError(f"vertex side must be Side.U or Side.V, got {side!r}")
+            side = Side(side)
         self._set(side, index)
 
     def __lt__(self, other: object) -> bool:

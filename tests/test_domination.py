@@ -1,6 +1,8 @@
 """Vertex sets, the verifier, the bounds and greedy.
 
-- The mask conversions are compared with per-bit references.
+- The mask conversions are compared with per-bit references, and
+  from_indices on ranges (one slice store) with from_indices on the same
+  indices as lists (one store per index).
 - Greedy is compared with the simple code it replaced, a greedy that
   rescans every cover mask for each pick, on every valid graph of degrees
   1 to 7 with n <= 128.  On degrees 1 to 6, every pick is checked to cover
@@ -98,13 +100,13 @@ def test_positions_and_slots_mask_match_the_per_bit_references(n):
         for base in (0, 1):
             positions = _positions(mask, base)
             assert positions == per_bit_positions(mask, base)
-            assert _slots_mask(n, positions, base) == mask
+            assert _slots_mask(n, positions, base=base) == mask
             shuffled = positions + positions[: len(positions) // 2]
             rng.shuffle(shuffled)
-            assert _slots_mask(n, shuffled, base) == per_slot_mask(n, shuffled, base) == mask
+            assert _slots_mask(n, shuffled, base=base) == per_slot_mask(n, shuffled, base) == mask
     for base in (0, 1):
-        assert _slots_mask(n, [], base) == 0
-        assert _slots_mask(n, [base + n - 1], base) == 1 << (n - 1)
+        assert _slots_mask(n, [], base=base) == 0
+        assert _slots_mask(n, [base + n - 1], base=base) == 1 << (n - 1)
 
 
 def test_from_indices_names_the_first_offender_in_input_order():
@@ -120,6 +122,47 @@ def test_from_indices_names_the_first_offender_in_input_order():
         with pytest.raises(ValueError) as info:
             VertexSet.from_indices(g, us, vs)
         assert str(info.value) == f"vertex index {bad} out of range [1, 8]"
+
+
+@pytest.mark.parametrize("bad", [2.0, "1", None, 1.5])
+def test_from_indices_rejects_indices_that_are_not_integers(bad):
+    g = build_graph(4, 16)
+    message = f"^vertex index must be an integer, got {bad!r}$"
+    for sides in (([bad],), ((), [3, bad]), ((2,), range(1, 9), [bad])):
+        with pytest.raises(ValueError, match=message):
+            VertexSet.from_indices(g, *sides)
+
+
+def outcome(build):
+    try:
+        return build().mask
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_range(rng, half):
+    # Starts and stops run past both ends, so some ranges leave [1, half].
+    start, stop = rng.randint(-3, half + 4), rng.randint(-3, half + 4)
+    step = rng.choice([1, 2, 3, 5, half]) * rng.choice([1, -1])
+    return rng.choice([range(start, stop, step), range(start, start + step, step)])
+
+
+@pytest.mark.parametrize("n", [16, 18, 26, 40, 62, 250, 2**21 - 2])
+def test_from_indices_on_ranges_matches_the_lists(n):
+    g = build_graph(4, n)
+    half = g.half
+    rng = random.Random(n)
+    fixed = [range(0), range(5, 5), range(1, 2), range(half, half + 1), range(half, 0, -1),
+             range(1, half + 1), range(half, -1, -1), range(0, half), range(1, half + 2, 5)]
+    sides = fixed + [random_range(rng, half) for _ in range(60 if n < 10**4 else 6)]
+    for us in sides:
+        vs, extra = rng.choice(sides), rng.choice([(), (1,), (half, 2), (half + 1,)])
+        new = outcome(lambda: VertexSet.from_indices(g, us, vs, extra))
+        old = outcome(lambda: VertexSet.from_indices(g, list(us), list(vs) + list(extra)))
+        assert new == old, (us, vs, extra)
+        assert outcome(lambda: VertexSet.from_indices(g, vs, us)) == outcome(
+            lambda: VertexSet.from_indices(g, list(vs), list(us))
+        )
 
 
 @pytest.mark.parametrize("mask", [1.5, True, False, "3", None])

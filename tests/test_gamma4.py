@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from knodel import (
@@ -9,6 +11,7 @@ from knodel import (
     gamma_formula,
     is_dominating,
 )
+from knodel.gamma4 import _verify
 
 KNOWN_VALUES = {
     16: 4,
@@ -113,3 +116,43 @@ def test_construction_error_carries_witnesses():
     assert err.n == 28
     assert [str(x) for x in err.witnesses] == ["u3"]
     assert "u3" in str(err)
+
+
+def per_index_construct(n):
+    # Reference: the index lists construct_dominating_set used to build, as
+    # lists, through from_indices's one-store-per-index path, then verified.
+    g = build_graph(4, n)
+    if n in EXCEPTIONAL_ORDERS:
+        u_indices, v_indices = map(list, EXCEPTIONAL_ORDERS[n])
+    else:
+        t, residue = divmod(n, 10)
+        if residue == 0:
+            u_indices = list(range(1, 5 * t - 3, 5))
+            v_indices = list(range(5, 5 * t + 1, 5))
+        else:
+            u_indices = list(range(1, 5 * t + 2, 5))
+            extras = {2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}
+            v_indices = [*range(5, 5 * t + 1, 5), *extras[residue]]
+    ds = VertexSet.from_indices(g, u_indices, v_indices)
+    _verify(g, ds, n)
+    return ds
+
+
+def test_construct_matches_the_per_index_build():
+    for n in [*range(16, 2001, 2), *(10**6 + k for k in (0, 2, 4, 6, 8))]:
+        assert construct_dominating_set(n).mask == per_index_construct(n).mask, n
+
+
+def peak_bytes(build, n):
+    build(2000)  # first calls fill caches that are not the build's own memory
+    tracemalloc.start()
+    try:
+        build(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_construct_peak_memory_is_no_higher_than_the_per_index_build():
+    n = 2_000_000
+    assert peak_bytes(construct_dominating_set, n) <= peak_bytes(per_index_construct, n)

@@ -77,6 +77,19 @@ def test_check_vertex_rejects_indices_that_are_not_integers(index):
         g.slot(Vertex(Side.U, index))
 
 
+def test_a_side_equal_to_a_member_maps_to_its_own_half():
+    g = build_graph(4, 16)
+    assert Vertex("u", 1) == u(1) and hash(Vertex("u", 1)) == hash(u(1))
+    assert g.slot(Vertex("u", 1)) == 0 and g.slot(Vertex("v", 1)) == 8
+    assert Vertex("v", 3).side is Side.V
+
+
+@pytest.mark.parametrize("side", ["w", "U", "", 1, None])
+def test_vertex_rejects_a_side_that_is_not_u_or_v(side):
+    with pytest.raises(ValueError, match=f"^vertex side must be Side.U or Side.V, got {side!r}$"):
+        Vertex(side, 1)
+
+
 def test_adjacency_is_regular_bipartite_and_symmetric_up_to_64():
     for n in range(2, 65, 2):
         for delta in range(1, int(math.log2(n)) + 1):
@@ -292,5 +305,6 @@ def test_predicate_agrees_with_neighborhood_intersection(delta, n):
 def test_vertex_ordering_and_labels():
     assert str(u(3)) == "u3"
     assert str(v(10)) == "v10"
+    assert str(Vertex("u", 1)) == "u1" and str(Vertex("v", 12)) == "v12"
     assert sorted([v(1), u(2), u(1)]) == [u(1), u(2), v(1)]
     assert u(3).side is Side.U and v(3).side is Side.V

@@ -26,6 +26,12 @@ pick's KnodelGraph.near_masks entry.  Three prunes cut the tree:
   parent counts the first child that (delta + 1) * r cannot finish, and
   all later ones, without a call.
 
+The search is one loop over an explicit stack with a frame per open node,
+so its depth, about gamma picks, is bounded by memory and not by the
+interpreter's recursion limit.  _Search.run reports an early stop by its
+return value: True at the deadline, or at the first set found by a
+stop_on_first search.
+
 Symmetry: the index rotation i -> i+1 on both sides and the swap
 u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
 they are automorphisms.  Take a dominating set D with |D| = k < h = n/2.
@@ -103,14 +109,6 @@ class SolveResult(_Record):
         return self.value is not None
 
 
-class _Timeout(Exception):
-    pass
-
-
-class _FoundAny(Exception):
-    pass
-
-
 def _pivot(und: int, planes: list[int]) -> int:
     """Bit of the lowest undominated slot with at most one candidate, else
     of the lowest one with the fewest; 0 when that slot has no candidate."""
@@ -169,10 +167,6 @@ class _Search:
         already dominated).  near is closed_cover(covered), picked the mask
         of chosen slots and need the u-picks the gap rule still asks."""
         self.nodes += 1
-        if self.nodes >= self.next_check and self.deadline is not None:
-            self.next_check = self.nodes + 1024
-            if time.monotonic() > self.deadline:
-                raise _Timeout
         und = self.full & ~covered
         budget = self.bound - 1 - picked.bit_count()
         m = und.bit_count()
@@ -213,36 +207,53 @@ class _Search:
 
     def run(
         self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int
-    ) -> None:
+    ) -> bool:
         """Search below the node that has chosen the slots in the mask picked;
-        need is the u-picks they still ask."""
-        if covered == self.full:
-            if picked.bit_count() < self.bound:
-                self.bound = picked.bit_count()
-                self.best = picked
-                if self.stop_on_first:
-                    raise _FoundAny
-            return
-        node = self.branch_slots(covered, near, pool, planes, picked, need)
-        if node is None:
-            return
-        m, members = node
-        cover = self.cover
-        for i, (c, neg) in enumerate(members):
-            # Counting closes this child and all later ones (c == m is a leaf).
-            if c < m and m - c > (self.bound - picked.bit_count() - 2) * self.dd:
-                self.nodes += len(members) - i
-                return
-            slot = -neg
-            pool ^= 1 << slot
-            planes = _without(planes, cover[slot])
-            child_need = need
+        need is the u-picks they still ask.  True when the search stopped
+        early: at the deadline, or at the first set found under stop_on_first.
+
+        Each open node keeps a frame [covered, near, pool, planes, picked,
+        need, m, members, next child index]; its pool and planes lose each
+        child's slot as the child is entered, so later siblings skip it."""
+        cover, near_masks = self.cover, self.near
+        stack = []
+        while True:
+            if covered == self.full:
+                if picked.bit_count() < self.bound:
+                    self.bound = picked.bit_count()
+                    self.best = picked
+                    if self.stop_on_first:
+                        return True
+            else:
+                node = self.branch_slots(covered, near, pool, planes, picked, need)
+                if node is not None:
+                    stack.append([covered, near, pool, planes, picked, need, *node, 0])
+                if self.nodes >= self.next_check and self.deadline is not None:
+                    self.next_check = self.nodes + 1024
+                    if time.monotonic() > self.deadline:
+                        return True
+            # Step to the next child of the innermost open node.  Counting
+            # closes a child and all later ones (c == m is a leaf).
+            while stack:
+                frame = stack[-1]
+                covered, near, pool, planes, picked, need, m, members, i = frame
+                if i < len(members):
+                    c = members[i][0]
+                    if c == m or m - c <= (self.bound - picked.bit_count() - 2) * self.dd:
+                        break
+                    self.nodes += len(members) - i
+                stack.pop()
+            else:
+                return False
+            slot = -members[i][1]
+            frame[2] = pool = pool ^ 1 << slot
+            frame[3] = planes = _without(planes, cover[slot])
+            frame[8] = i + 1
             if self.gap_rule and slot < self.half:
-                child_need = self._need(picked & self.u_mask, need, slot)
-            child = picked | 1 << slot
-            self.run(
-                covered | cover[slot], near | self.near[slot], pool, planes, child, child_need
-            )
+                need = self._need(picked & self.u_mask, need, slot)
+            covered |= cover[slot]
+            near |= near_masks[slot]
+            picked |= 1 << slot
 
     def _need(self, u_picked: int, need: int, slot: int) -> int:
         """The gap rule's need once u-side slot joins the u-side mask
@@ -294,9 +305,7 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
     gap = -(-g.half // u_cap)
     pool = g.full_mask >> gap << gap
     search = _Search(g, bound, best, deadline, u_cap=u_cap)
-    try:
-        search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 0)
-    except _Timeout:
+    if search.run(g.cover_masks[0], g.near_masks[0], pool, g.cover_counts(pool), 1, 0):
         value, lower = None, degree_lower
     else:
         value = lower = search.bound
@@ -345,11 +354,9 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
         for slot in range(prefix[-1] + 1, stop):
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
-            found = _completion(
-                search, covered | cover[slot], near | near_masks[slot], pool, planes, remaining
-            )
-            if found is not None:
-                witness = _positions(found)
+            search.bound = remaining + 1
+            if search.run(covered | cover[slot], near | near_masks[slot], pool, planes, 0, 0):
+                witness = _positions(search.best)
                 if len(witness) == remaining:
                     witness = _least_image(g.half, prefix + [slot], witness)
                 break
@@ -382,16 +389,3 @@ def _least_image(half: int, prefix: list[int], rest: list[int]) -> list[int]:
             best = image[k:]
     return best
 
-
-def _completion(
-    search: _Search, covered: int, near: int, pool: int, planes: list[int], budget: int
-) -> int | None:
-    """Slot mask of some <= budget picks from pool that extend covered to
-    everything, or None; search is a stop_on_first search of the graph.
-    near is closed_cover(covered) and planes cover_counts(pool)."""
-    search.bound = budget + 1
-    try:
-        search.run(covered, near, pool, planes, 0, 0)
-    except _FoundAny:
-        return search.best
-    return None

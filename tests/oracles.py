@@ -7,6 +7,7 @@ import time
 
 from knodel import KnodelGraph, SolveResult, VertexSet
 from knodel.domination import _slots_mask
+from knodel.solver import _Search, _without
 
 
 def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
@@ -33,3 +34,44 @@ def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
                 certificate = VertexSet(g, _slots_mask(g.n, combo))
                 return SolveResult(k, k, k, certificate, checked, elapsed)
     return None
+
+
+class RecursiveSearch(_Search):
+    """The branch and bound as one recursive call per node, the form that
+    _Search.run's explicit stack replaced; it returns True where that form
+    raised on the first set of a stop_on_first search.
+
+    It keeps no deadline, and its depth is the number of picks, so it serves
+    only orders well inside the interpreter's recursion limit.
+    """
+
+    def run(self, covered, near, pool, planes, picked, need):
+        if covered == self.full:
+            if picked.bit_count() < self.bound:
+                self.bound = picked.bit_count()
+                self.best = picked
+                if self.stop_on_first:
+                    return True
+            return False
+        node = self.branch_slots(covered, near, pool, planes, picked, need)
+        if node is None:
+            return False
+        m, members = node
+        cover = self.cover
+        for i, (c, neg) in enumerate(members):
+            # Counting closes this child and all later ones (c == m is a leaf).
+            if c < m and m - c > (self.bound - picked.bit_count() - 2) * self.dd:
+                self.nodes += len(members) - i
+                return False
+            slot = -neg
+            pool ^= 1 << slot
+            planes = _without(planes, cover[slot])
+            child_need = need
+            if self.gap_rule and slot < self.half:
+                child_need = self._need(picked & self.u_mask, need, slot)
+            child = picked | 1 << slot
+            if self.run(
+                covered | cover[slot], near | self.near[slot], pool, planes, child, child_need
+            ):
+                return True
+        return False

@@ -10,6 +10,8 @@
   gap sequences and --k, each before the census generator is called.
 - sweep checks every argument before it opens --out, then writes each row
   as it is solved.
+- Exact solves run for real at the exact limit, and a sweep over
+  4970..4980 runs past the depth where the recursive search failed.
 - enum-seq and enumerate_sequences, the two consumers of one census
   generator, are compared line for line on every k <= 6, total <= 24,
   degree 2 to 5 and filter 0 to 3, and on the benchmark's six sets.
@@ -227,6 +229,20 @@ def test_sweep_range_agrees(capsys):
         assert fields[1] == fields[2]
         assert fields[3] == "true" and fields[4] == "true"
         assert fields[5].isdigit()
+
+
+def test_sweep_runs_past_the_recursion_depth_of_the_old_search(capsys):
+    # A search that recursed once per pick hit the interpreter's recursion
+    # limit from n = 4,972 on, and the sweep lost every row.
+    code, out, _ = run(capsys, "sweep", "--from", "4970", "--to", "4980", "--budget", "30")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,formula,exact,agree,construct_ok,elapsed_ms"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(4970, 4981, 2)]
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert fields[1] == fields[2]
+        assert fields[3:5] == ["true", "true"]
 
 
 def test_sweep_zero_budget_skips_solver(capsys):
@@ -659,20 +675,17 @@ def test_exact_solves_refuse_orders_over_the_exact_limit(capsys, monkeypatch):
     assert code == 0 and out.splitlines()[1].startswith(f"{over},")
 
 
-def test_exact_solves_run_up_to_the_exact_limit(capsys, monkeypatch):
-    # At the limit the solve starts: a stub stands in for the search.
-    solved = []
-
-    def stub(g, time_budget=None):
-        solved.append(g.n)
-        raise ValueError("stub solver")
-
-    monkeypatch.setattr("knodel.cli.solve_exact", stub)
+def test_exact_solves_run_up_to_the_exact_limit(capsys):
+    # Real solves at the limit.  The search below 16382, a residue-2 order,
+    # is about 3,300 picks deep; 16384 closes at its root.
+    for n in (_MAX_EXACT_ORDER - 2, _MAX_EXACT_ORDER):
+        code, out, _ = run(capsys, "gamma", str(n))
+        doc = json.loads(out)
+        assert (code, doc["agree"], doc["exact"]) == (0, True, doc["formula"]), n
     limit = str(_MAX_EXACT_ORDER)
-    for argv in (("gamma", limit), ("sweep", "--from", limit, "--to", limit)):
-        code, _, err = run(capsys, *argv)
-        assert (code, err) == (2, "error: stub solver\n"), argv
-    assert solved == [_MAX_EXACT_ORDER] * 2
+    code, out, _ = run(capsys, "sweep", "--from", limit, "--to", limit)
+    n, formula, exact, agree, construct_ok, _ = out.splitlines()[1].split(",")
+    assert (code, n, exact, agree, construct_ok) == (0, limit, formula, "true", "true")
 
 
 def test_export_refuses_orders_over_the_order_limit(capsys, monkeypatch):

@@ -22,6 +22,11 @@
 - At every node of whole searches, the gap rule's need is checked against a
   recomputation from the carried mask of chosen slots, and its u-side picks
   against the cap.
+- The search loop over an explicit stack is compared with the recursion it
+  replaced, kept as RecursiveSearch in tests/oracles.py, on every valid
+  graph with n <= 64, W(4, 16..312) and W(5, 32..72): value, certificate
+  and node count agree.  Canonical certificates at gamma and gamma + 1 on
+  W(4, 16..90), and the nodes of all their searches, agree too.
 - canonical_certificate is compared, at gamma and gamma + 1, with the
   per-slot scan it replaced (a fresh search for every candidate slot, no
   witness) on W(4, 16..90) and every valid graph with n <= 64, at gamma
@@ -57,7 +62,7 @@ from knodel.domination import _positions
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _least_image, _pivot, _Search
-from oracles import brute_force_min
+from oracles import RecursiveSearch, brute_force_min
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
@@ -207,6 +212,52 @@ def test_parallel_value_matches_single_threaded(delta, n):
         assert result.nodes_explored == nodes
 
 
+def recorded(search_class, searches):
+    """search_class, with each instance appended to searches."""
+
+    class Recorded(search_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    return Recorded
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(VALID_UP_TO_64, id="n<=64"),
+        pytest.param([(4, n) for n in range(66, 313, 2)], id="4-66..312"),
+        pytest.param([(5, n) for n in range(66, 73, 2)], id="5-66..72"),
+    ],
+)
+def test_search_loop_matches_the_recursive_reference(monkeypatch, graphs):
+    # The explicit stack against the recursion it replaced, on every valid
+    # graph with n <= 64, W(4, 16..312) and W(5, 32..72); canonical
+    # certificates (stop_on_first searches) at gamma and gamma + 1 on
+    # W(4, 16..90), with the nodes of all their searches.
+    for delta, n in graphs:
+        g = build_graph(delta, n)
+        with monkeypatch.context() as m:
+            m.setattr(knodel.solver, "_Search", RecursiveSearch)
+            expected = solve_exact(g)
+        got = solve_exact(g)
+        assert (got.value, got.certificate.mask, got.nodes_explored) == (
+            expected.value, expected.certificate.mask, expected.nodes_explored
+        ), (delta, n)
+        if delta != 4 or n > 90:
+            continue
+        for size in (got.value, got.value + 1):
+            runs = []
+            for search_class in (RecursiveSearch, _Search):
+                searches = []
+                with monkeypatch.context() as m:
+                    m.setattr(knodel.solver, "_Search", recorded(search_class, searches))
+                    certificate = canonical_certificate(g, size)
+                runs.append((certificate.mask, sum(search.nodes for search in searches)))
+            assert runs[0] == runs[1], (n, size)
+
+
 def test_workers_is_no_longer_a_parameter():
     with pytest.raises(TypeError):
         solve_exact(build_graph(4, 16), workers=2)
@@ -275,9 +326,7 @@ def scan_canonical(g, size):
         for slot in range(chosen[-1] + 1, g.n - remaining):
             trial, pool = covered | cover[slot], g.full_mask >> (slot + 1) << (slot + 1)
             search = _Search(g, remaining + 1, 0, None, stop_on_first=True)
-            try:
-                search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0)
-            except knodel.solver._FoundAny:
+            if search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0):
                 chosen.append(slot)
                 covered = trial
                 break
@@ -307,19 +356,13 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     # lower, so fewer searches run below it and fewer succeed.  They all run
     # on one _Search per call, where a fresh one each gave 1,607 instances.
     found, searches = [], []
-    completion = knodel.solver._completion
 
-    def counted(*args):
-        slots = completion(*args)
-        found.append(slots is not None)
-        return slots
+    class RecordedSearch(recorded(_Search, searches)):
+        def run(self, *args):
+            stopped = super().run(*args)
+            found.append(stopped)
+            return stopped
 
-    class RecordedSearch(_Search):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            searches.append(self)
-
-    monkeypatch.setattr(knodel.solver, "_completion", counted)
     monkeypatch.setattr(knodel.solver, "_Search", RecordedSearch)
     orders = range(16, 91, 2)
     for n in orders:
@@ -653,13 +696,10 @@ class CheckedSearch(_Search):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def run(self, covered, near, pool, planes, picked, need):
-        assert (picked & self.u_mask).bit_count() <= self.u_cap
-        expected = gap_need(self.half, _positions(picked)) if self.u_cap < self.half else 0
-        assert need == expected
-        super().run(covered, near, pool, planes, picked, need)
-
     def branch_slots(self, covered, near, pool, planes, picked, need):
+        # Called once for every node the search enters.
+        assert (picked & self.u_mask).bit_count() <= self.u_cap
+        assert need == (gap_need(self.half, _positions(picked)) if self.u_cap < self.half else 0)
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting

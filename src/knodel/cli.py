@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 from .domination import VertexSet, undominated
 from .gamma4 import MIN_ORDER, ConstructionError, construct_dominating_set, gamma_formula
-from .graphs import KnodelGraph, Side, build_graph
+from .graphs import KnodelGraph, build_graph
 from .sequences import _census
 from .solver import canonical_certificate, solve_exact
 
@@ -225,12 +225,12 @@ def _edgelist_lines(g: KnodelGraph) -> Iterator[str]:
 
 def _dot_lines(g: KnodelGraph) -> Iterator[str]:
     yield f"graph knodel_{g.delta}_{g.n} {{"
-    for side in (Side.U, Side.V):
-        yield f"  subgraph cluster_{side.value} {{"
-        yield f'    label="{side.value.upper()}";'
+    for side in "uv":
+        yield f"  subgraph cluster_{side} {{"
+        yield f'    label="{side.upper()}";'
         yield "    rank=same;"
         for i in range(1, g.half + 1):
-            yield f"    {side.value}{i};"
+            yield f"    {side}{i};"
         yield "  }"
     for i, j in _edges(g):
         yield f"  u{i} -- v{j};"
@@ -241,11 +241,14 @@ def _adjacency_lines(g: KnodelGraph) -> Iterator[str]:
     """The object {"n": ..., "delta": ..., "adjacency": {...}} as json.dumps
     writes it with indent=2, one vertex entry at a time.  Neighbours ascend
     by slot, which is their label order, and labels need no escaping."""
+    half = g.half
     yield f'{{\n  "n": {g.n},\n  "delta": {g.delta},\n  "adjacency": {{'
     for s in range(g.n):
-        items = ",\n".join(f'      "{g.vertex_at(t)}"' for t in sorted(g.neighbor_slots(s)))
+        ends = sorted(g.neighbor_slots(s))
+        items = '",\n      "'.join(f"u{t + 1}" if t < half else f"v{t - half + 1}" for t in ends)
+        label = f"u{s + 1}" if s < half else f"v{s - half + 1}"
         comma = "," if s < g.n - 1 else ""
-        yield f'    "{g.vertex_at(s)}": [\n{items}\n    ]{comma}'
+        yield f'    "{label}": [\n      "{items}"\n    ]{comma}'
     yield "  }\n}"
 
 

@@ -70,11 +70,6 @@ class VertexSet(_Record):
         self._set(graph, mask)
 
     @classmethod
-    def of(cls, graph: KnodelGraph, vertices: Iterable[Vertex]) -> "VertexSet":
-        """Set containing the given vertices, each validated against graph."""
-        return cls(graph, _slots_mask(graph.n, map(graph.slot, vertices)))
-
-    @classmethod
     def from_indices(
         cls,
         graph: KnodelGraph,

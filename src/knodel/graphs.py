@@ -15,10 +15,10 @@ solver modules use to index bitmasks.
 
 No other module reads the offsets.  KnodelGraph.neighbor_slots is the rule
 for one slot, in offset order.  The rule depends only on j - i, so
-W(delta, n) is bi-circulant: KnodelGraph.cover_terms, the mask form of the
-rule, yields a set and its delta cyclic shifts per half, in time linear in
-n.  cover_counts sums them into bit planes of neighbour counts for greedy
-and the solver.  closed_cover, their union, is the verifier's one call and
+W(delta, n) is bi-circulant: KnodelGraph.cover_counts, the mask form of the
+rule, sums a set and its delta cyclic shifts per half into bit planes of
+neighbour counts for greedy and the solver, in time linear in n.
+closed_cover, the union of those shifts, is the verifier's one call and
 the solver's forced-waste test, so it ORs the shifts in its own loop.  The
 solver's per-slot tables, cover_masks and near_masks (radius one and two),
 are built once per graph.  Index distances and gap sequences are in
@@ -202,8 +202,8 @@ class KnodelGraph(_Record):
     def closed_cover(self, mask: int) -> int:
         """Closed neighbourhood of a slot bitmask, as a slot bitmask.
 
-        The union of cover_terms, with the rotations of each doubled half
-        ORed before the one mask and shift that place it.
+        The union of the terms cover_counts sums, with the rotations of each
+        doubled half ORed before the one mask and shift that place it.
         """
         half = self.half
         su = mask & self.u_mask
@@ -216,13 +216,14 @@ class KnodelGraph(_Record):
             to_v |= su2 >> (half - off)
         return mask | to_u & self.u_mask | (to_v & self.u_mask) << half
 
-    def cover_terms(self, mask: int) -> Iterator[int]:
-        """mask, then mask rotated by each offset: delta + 1 slot bitmasks.
+    def cover_counts(self, mask: int) -> list[int]:
+        """Bit x of planes[i] is bit i of |N[x] & mask|.
 
-        A rotation maps S_V down by the offset onto the U half and S_U up onto
-        the V half; each half is written out twice, so a rotation is one
-        shift.  Offsets are distinct and below n/2, so vertex x lies in
-        exactly |N[x] & mask| of the terms and their union is N[mask].
+        The planes sum delta + 1 terms: mask, then mask rotated by each
+        offset.  A rotation maps S_V down by the offset onto the U half and
+        S_U up onto the V half; each half is written out twice, so a
+        rotation is one shift.  Offsets are distinct and below n/2, so
+        vertex x lies in exactly |N[x] & mask| of the terms.
         """
         half = self.half
         u_mask = self.u_mask
@@ -230,14 +231,11 @@ class KnodelGraph(_Record):
         sv = mask >> half
         su2 = su << half | su
         sv2 = sv << half | sv
-        yield mask
+        terms = [mask]
         for off in self.offsets:
-            yield sv2 >> off & u_mask | (su2 >> (half - off) & u_mask) << half
-
-    def cover_counts(self, mask: int) -> list[int]:
-        """Bit x of planes[i] is bit i of |N[x] & mask|: the sum of the cover terms."""
+            terms.append(sv2 >> off & u_mask | (su2 >> (half - off) & u_mask) << half)
         planes = [0] * (self.delta + 1).bit_length()
-        for carry in self.cover_terms(mask):
+        for carry in terms:
             for i, plane in enumerate(planes):
                 planes[i] = plane ^ carry
                 carry &= plane

@@ -63,14 +63,17 @@ Canonical certificates: canonical_certificate fixes one position at a time
 to the lowest slot whose prefix a bounded search can complete.  Prefixes
 are not preserved by a rotation, so its searches run without the cut, all
 on one _Search whose bound each trial resets.  The scan builds the bit
-planes once and lowers them with _without, the search's borrow chain, as it
-passes each slot; it ORs near masks onto the prefix's near.  The last
-completion found is kept as a witness: its lowest slot can be completed, so
-the scan searches only the slots below it.  A witness that fills every
-position left is replaced by the least image of prefix + witness under the
-rotations and swaps that starts with the prefix.  Automorphisms map
-dominating sets onto dominating sets of the same size, so that image is a
-witness too, and a lower one leaves fewer slots to search.
+planes once and lowers them with _without, the search's borrow chain, once
+per slot; it ORs near masks onto the prefix's near.  The last completion
+found, for slot t, is the witness: it lies above t, so the scan searches
+only below its lowest slot w and takes w on reaching it.  It reaches w
+unless a search succeeds first: a witness that fills every position left
+ascends to below n, so w is below the scan's stop, and a shorter one
+completes t + 1.  A witness that fills every position left is replaced by
+the least image of prefix + witness under the rotations and swaps that
+starts with the prefix.  Automorphisms map dominating sets onto dominating
+sets of the same size, so that image is a witness too, and a lower one
+leaves fewer slots to search.
 
 A solve is one serial search from the u_1 node, so a repeated run returns
 the identical certificate and node count.
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import time
 
-from .domination import VertexSet, _positions, _slots_mask, gamma_bounds, greedy_upper_bound
+from .domination import VertexSet, _positions, gamma_bounds, greedy_upper_bound
 from .graphs import KnodelGraph, _Record
 
 __all__ = ["SolveResult", "solve_exact", "canonical_certificate"]
@@ -327,51 +330,50 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     A slot is completable when at most r more picks from the slots above it
     complete the set, r being the positions left after it; slots stop r
     below n, so such a completion pads to exactly r.  The scan keeps one
-    pool, the slots above the last one it passed, with its bit planes.  The
-    last completion found is the witness.  A completion for slot t uses only
-    slots above t, so if it fills all r positions, its lowest slot w is
-    completable at the next position by the rest of it: the scan searches
-    only the slots below w and, if none succeeds, takes w without a search.
-    Such a completion is first replaced by the least image of prefix +
-    completion, under the rotations and the swap, that still starts with
-    the prefix: an automorphism's image dominates and has as many slots, so
-    the rest of it is a completion too, and its lowest slot is as low as
-    the orbit allows.  A completion with fewer picks (possible only above
-    the domination number) is not trusted, and the next position searches
-    every slot.
+    pool, the slots above the one it is at, and lowers it and its bit
+    planes once per slot.  The last completion found, for slot t, is the
+    witness W.  It uses only slots above t, so its lowest slot w is
+    completable at the next position, with r left after it, by the rest of
+    W: the scan searches the slots below w and takes w without a search on
+    reaching it.  It reaches w unless a search succeeds first.  If W fills
+    all r + 1 positions left after t, its ascending slots put w below n - r,
+    the scan's stop.  If W is shorter (only above the domination number), W
+    less t + 1 completes t + 1, below the stop as t < n - r - 1, so the
+    scan succeeds there or t + 1 is w.  A W that fills every position is
+    first replaced by the least image of prefix + W, under the rotations
+    and the swap, that still starts with the prefix: an automorphism's
+    image dominates and has as many slots, so the rest of it is a
+    completion too, and its lowest slot is as low as the orbit allows.
     """
     cover, near_masks = g.cover_masks, g.near_masks
     search = _Search(g, 0, 0, None, stop_on_first=True)
-    prefix = [0]
+    picked = 1  # slot mask of the prefix
     covered, near = cover[0], near_masks[0]
     pool = g.full_mask ^ 1
     planes = g.cover_counts(pool)
     witness: list[int] = []
     for position in range(1, size):
         remaining = size - position - 1
-        trusted = len(witness) > remaining
-        stop = witness[0] if trusted else g.n - remaining
-        for slot in range(prefix[-1] + 1, stop):
+        for slot in range(picked.bit_length(), g.n - remaining):
             pool ^= 1 << slot
             planes = _without(planes, cover[slot])
+            if witness and slot == witness[0]:
+                del witness[0]
+                break
             search.bound = remaining + 1
             if search.run(covered | cover[slot], near | near_masks[slot], pool, planes, 0, 0):
                 witness = _positions(search.best)
                 if len(witness) == remaining:
-                    witness = _least_image(g.half, prefix + [slot], witness)
+                    witness = _least_image(g.half, _positions(picked | 1 << slot), witness)
                 break
         else:
-            if not trusted:
-                break
-            slot = witness.pop(0)
-            pool ^= 1 << slot
-            planes = _without(planes, cover[slot])
-        prefix.append(slot)
+            break
+        picked |= 1 << slot
         covered |= cover[slot]
         near |= near_masks[slot]
-    if len(prefix) != size or covered != g.full_mask:
+    if picked.bit_count() != size or covered != g.full_mask:
         raise ValueError(f"no dominating set of size {size} exists in {g}")
-    return VertexSet(g, _slots_mask(g.n, prefix))
+    return VertexSet(g, picked)
 
 
 def _least_image(half: int, prefix: list[int], rest: list[int]) -> list[int]:

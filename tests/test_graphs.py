@@ -146,10 +146,10 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
         if mask >> g.slot(x) & 1:
             expected |= _closed_mask(g, x)
     assert g.closed_cover(mask) == expected
-    # The terms count: x lies in as many as it has neighbours in the mask.
-    terms = list(g.cover_terms(mask))
+    # The counts sum the rotations: x counts its closed neighbours in the mask.
+    planes = g.cover_counts(mask)
     for x in g.vertices():
-        hits = sum(term >> g.slot(x) & 1 for term in terms)
+        hits = sum((plane >> g.slot(x) & 1) << i for i, plane in enumerate(planes))
         assert hits == (_closed_mask(g, x) & mask).bit_count()
 
 

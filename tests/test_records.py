@@ -65,25 +65,31 @@ G16, G18 = build_graph(4, 16), build_graph(4, 18)
 FILLED = build_graph(4, 30)
 FILLED.cover_masks  # a graph whose cached tables are already in its __dict__
 
-SAMPLES = {
-    Vertex: [u(1), u(2), v(1), v(2), Vertex(Side.U, 1), Vertex(Side.V, 8)],
-    KnodelGraph: [G16, G18, build_graph(3, 16), KnodelGraph(4, 16), FILLED],
-    VertexSet: [VertexSet(G16), VertexSet(G16, 5), VertexSet(G18, 5), VertexSet(G16, 0)],
-    GammaFormulaResult: [gamma_formula(16), gamma_formula(48), gamma_formula(16)],
-    SolveResult: [
-        solve_exact(G16),
-        solve_exact(G18),
-        SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
-        SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
-    ],
-    CyclicSequence: [
-        CyclicSequence((1, 2, 3), 6),
-        CyclicSequence((2, 3, 1), 6),
-        CyclicSequence([1, 2, 3], 6),
-        CyclicSequence((True, 2), 3),
-    ],
-    SequenceClass: enumerate_sequences(3, 15, 1, 3) + enumerate_sequences(3, 15, 1, 3)[:1],
-}
+
+@pytest.fixture(scope="module")
+def samples():
+    # Built in a fixture, not at import, so that the per-test timeout
+    # covers the solves.
+    return {
+        Vertex: [u(1), u(2), v(1), v(2), Vertex(Side.U, 1), Vertex(Side.V, 8)],
+        KnodelGraph: [G16, G18, build_graph(3, 16), KnodelGraph(4, 16), FILLED],
+        VertexSet: [VertexSet(G16), VertexSet(G16, 5), VertexSet(G18, 5), VertexSet(G16, 0)],
+        GammaFormulaResult: [gamma_formula(16), gamma_formula(48), gamma_formula(16)],
+        SolveResult: [
+            solve_exact(G16),
+            solve_exact(G18),
+            SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
+            SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
+        ],
+        CyclicSequence: [
+            CyclicSequence((1, 2, 3), 6),
+            CyclicSequence((2, 3, 1), 6),
+            CyclicSequence([1, 2, 3], 6),
+            CyclicSequence((True, 2), 3),
+        ],
+        SequenceClass: enumerate_sequences(3, 15, 1, 3) + enumerate_sequences(3, 15, 1, 3)[:1],
+    }
+
 
 CLASSES = list(TWINS)
 IDS = [cls.__name__ for cls in CLASSES]
@@ -98,14 +104,14 @@ def as_twin(record):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
-def test_repr_eq_and_hash_match_the_dataclass(cls):
-    samples = SAMPLES[cls]
-    for a in samples:
+def test_repr_eq_and_hash_match_the_dataclass(cls, samples):
+    records = samples[cls]
+    for a in records:
         assert repr(a) == repr(as_twin(a))
         assert hash(a) == hash(as_twin(a))
         assert a != as_twin(a) and as_twin(a) != a
         assert a != values(a)
-    for a, b in product(samples, repeat=2):
+    for a, b in product(records, repeat=2):
         assert (a == b, a != b) == (as_twin(a) == as_twin(b), as_twin(a) != as_twin(b))
 
 
@@ -131,9 +137,9 @@ def test_vertex_ordering_matches_the_dataclass_over_mixed_sides():
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
-def test_match_args_and_keyword_construction_match_the_dataclass(cls):
+def test_match_args_and_keyword_construction_match_the_dataclass(cls, samples):
     assert cls.__match_args__ == TWINS[cls].__match_args__
-    for record in SAMPLES[cls]:
+    for record in samples[cls]:
         assert cls(**dict(zip(cls.__match_args__, values(record)))) == record
 
 
@@ -150,8 +156,8 @@ def test_vertex_set_mask_defaults_to_zero_like_the_dataclass():
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
-def test_fields_cannot_be_assigned_or_deleted(cls):
-    record = SAMPLES[cls][0]
+def test_fields_cannot_be_assigned_or_deleted(cls, samples):
+    record = samples[cls][0]
     for target in (record, as_twin(record)):
         for name in (*cls.__match_args__, "extra"):
             with pytest.raises(AttributeError):
@@ -163,8 +169,8 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
-def test_pickle_and_copy_round_trip(cls):
-    for record in SAMPLES[cls]:
+def test_pickle_and_copy_round_trip(cls, samples):
+    for record in samples[cls]:
         for clone in (
             pickle.loads(pickle.dumps(record)),
             pickle.loads(pickle.dumps(record, protocol=0)),

@@ -27,15 +27,15 @@
   graph with n <= 64, W(4, 16..312) and W(5, 32..72): value, certificate
   and node count agree.  Canonical certificates at gamma and gamma + 1 on
   W(4, 16..90), and the nodes of all their searches, agree too.
-- canonical_certificate is compared, at gamma and gamma + 1, with the
-  per-slot scan it replaced (a fresh search for every candidate slot, no
-  witness) on W(4, 16..90) and every valid graph with n <= 64, at gamma
-  also on W(4, 92..200).  It is compared with a lexicographic brute force
-  over all subsets of that size on W(2, 4..20), W(3, 8..22) and
-  W(4, 16..20).  Its number of searches over W(4, 16..90) at gamma is
-  pinned (1,607; 1,620 before witnesses came from the orbit), all of them
-  run on one search per call, and every node of its searches checks the
-  carried bit planes and near masks.
+- canonical_certificate is compared with the per-slot scan it replaced (a
+  fresh search for every candidate slot, no witness) at gamma, gamma + 1
+  and gamma + 2 on every valid graph with n <= 64, at gamma and gamma + 1
+  on W(4, 66..90), and at gamma on W(4, 92..200).  It is compared with a
+  lexicographic brute force over all subsets of that size on W(2, 4..20),
+  W(3, 8..22) and W(4, 16..20).  Its number of searches over W(4, 16..90)
+  at gamma is pinned (1,607; 1,620 before witnesses came from the orbit),
+  all of them run on one search per call, and every node of its searches
+  checks the carried bit planes and near masks.
 - The helper that picks a witness from the orbit is compared with all n
   label-level images of every minimum dominating set of the orbit test's
   eleven graphs, at every prefix length.  Every witness the scan adopts is
@@ -298,7 +298,7 @@ def test_canonical_certificate_is_brute_force_first():
     # Brute force scans subsets in lexicographic slot order, so its first
     # hit at a size is exactly the canonical certificate.  brute_force_min
     # stops at the optimal size; one above it a completion may use fewer
-    # picks than the positions left, and the scan drops its witness.
+    # picks than the positions left, and the scan still takes its witness.
     graphs = (
         [(2, n) for n in range(4, 21, 2)]
         + [(3, n) for n in range(8, 23, 2)]
@@ -339,12 +339,20 @@ def scan_canonical(g, size):
     "delta,n", VALID_UP_TO_64 + [pytest.param(4, n, id=f"4-{n}") for n in range(66, 201, 2)]
 )
 def test_canonical_certificate_matches_per_slot_scan(delta, n):
-    # Above gamma-exact's orders (n > 90) only gamma itself is checked.
+    # gamma + 2 (n <= 64) leaves room for completions shorter than the
+    # positions left, whose witnesses the scan takes too; the reference takes
+    # none.  Above gamma-exact's orders (n > 90) only gamma itself is checked.
     g = build_graph(delta, n)
     value = solve_exact(g).value
-    for size in (value, value + 1) if n <= 90 else (value,):
+    sizes = range(value, value + (3 if n <= 64 else 2 if n <= 90 else 1))
+    for size in sizes:
+        expected = scan_canonical(g, size)
+        if expected is None:  # a size above n
+            with pytest.raises(ValueError):
+                canonical_certificate(g, size)
+            continue
         canonical = canonical_certificate(g, size)
-        assert tuple(g.slot(x) for x in canonical) == scan_canonical(g, size), size
+        assert tuple(g.slot(x) for x in canonical) == expected, size
 
 
 def test_canonical_search_count_is_pinned(monkeypatch):

@@ -69,12 +69,17 @@ def _set_document(ds: VertexSet) -> str:
     return json.dumps({"n": ds.graph.n, "delta": ds.graph.delta, **_index_arrays(ds)})
 
 
-def _strictly_increasing_ints(value: object, key: str) -> list[int]:
-    # JSON gives int, bool, float, str, None, list or dict members; only int passes.
-    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):
+def _strictly_increasing(value: object, key: str) -> list:
+    # JSON gives int, bool, float, str, None, list or dict members.  Members
+    # that do not compare fail here; VertexSet.from_indices refuses the rest
+    # of what is not an int, in the one scan of their types.
+    if not isinstance(value, list):
         raise ValueError(f'"{key}" must be an array of integers')
-    if not all(map(operator.lt, value, value[1:])):
-        raise ValueError(f'"{key}" must be sorted and deduplicated')
+    try:
+        if not all(map(operator.lt, value, value[1:])):
+            raise ValueError(f'"{key}" must be sorted and deduplicated')
+    except TypeError:
+        raise ValueError(f'"{key}" must be an array of integers') from None
     return value
 
 
@@ -92,12 +97,19 @@ def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     for key in ("n", "delta", "u", "v"):
         if key not in doc:
             raise ValueError(f'{path} is missing the "{key}" key')
-    u_indices = _strictly_increasing_ints(doc["u"], "u")
-    v_indices = _strictly_increasing_ints(doc["v"], "v")
+    u_indices = _strictly_increasing(doc["u"], "u")
+    v_indices = _strictly_increasing(doc["v"], "v")
     g = build_graph(doc["delta"], doc["n"])
     if g.n > _MAX_ORDER:
         raise ValueError(f"order {g.n} in {path} exceeds the limit {_MAX_ORDER}")
-    return g, VertexSet.from_indices(g, u_indices, v_indices)
+    try:
+        return g, VertexSet.from_indices(g, u_indices, v_indices)
+    except ValueError:
+        # A member that is not an int is reported for its key, before any range.
+        for key, indices in (("u", u_indices), ("v", v_indices)):
+            if not {int}.issuperset(map(type, indices)):
+                raise ValueError(f'"{key}" must be an array of integers') from None
+        raise
 
 
 def _cmd_gamma(args: argparse.Namespace) -> int:

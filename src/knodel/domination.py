@@ -13,7 +13,7 @@ loop per bit or index; a range of slots is set with one extended-slice store.
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Iterable, Iterator
 
 from .graphs import KnodelGraph, Vertex, _check_int, _Record
@@ -80,22 +80,25 @@ class VertexSet(_Record):
         """Set {u_i : i in u_indices} | {v_j : j in v_indices or v_extra}.
 
         A range is checked at its two ends and set with one slice store, any
-        other iterable index by index; v_extra adds a few indices to a range.
+        other iterable index by index, in one scan of its types (an index
+        must be an int, not a bool) and one of its values; v_extra adds a few
+        indices to a range.
         """
         half = graph.half
         sides = [s if isinstance(s, range) else list(s) for s in (u_indices, v_indices, v_extra)]
-        try:
-            for side in filter(None, sides):
-                ends = (side[0], side[-1]) if isinstance(side, range) else side
-                if not 1 <= min(ends) <= max(ends) <= half:
-                    bad = next(i for i in side if not 1 <= i <= half)
-                    raise ValueError(f"vertex index {bad} out of range [1, {half}]")
-            us, vs, extra = sides
-            mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, extra, base=1) << half
-        except TypeError:
-            for i in chain(*sides):
-                _check_int("vertex index", i)
-            raise
+        for side in filter(None, sides):
+            if isinstance(side, range):
+                ends = side[0], side[-1]
+            else:
+                ends = side
+                if not {int}.issuperset(map(type, side)):
+                    for i in side:
+                        _check_int("vertex index", i)
+            if not 1 <= min(ends) <= max(ends) <= half:
+                bad = next(i for i in side if not 1 <= i <= half)
+                raise ValueError(f"vertex index {bad} out of range [1, {half}]")
+        us, vs, extra = sides
+        mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, extra, base=1) << half
         return cls(graph, mask)
 
     def __len__(self) -> int:

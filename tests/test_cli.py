@@ -7,7 +7,8 @@
 - The streamed JSON export is compared, byte for byte, with json.dumps of
   the whole adjacency object.
 - The enum-seq limits are checked on both sides: --total, the number of
-  gap sequences and --k, each before the census generator is called.
+  gap sequences and --k, each before the census generator is called; the
+  --total limit, 524,282 classes at --k 2, also runs for real.
 - sweep checks every argument before it opens --out, then writes each row
   as it is solved.
 - Exact solves run for real at the exact limit, and a sweep over
@@ -39,6 +40,7 @@ from knodel import (
     construct_dominating_set,
     enumerate_sequences,
     is_dominating,
+    m_delta,
     solve_exact,
     undominated,
 )
@@ -170,6 +172,7 @@ REJECTED_DOCUMENTS = {
     '{"n": 16, "delta": 4, "u": [1], "v": [%d]}' % 10**30:
         f"vertex index {10**30} out of range [1, 8]",
     '{"n": 16, "delta": 4, "u": [3, 7, 0, 12, 9], "v": []}': '"u" must be sorted and deduplicated',
+    '{"n": 16, "delta": 4, "u": [0], "v": [true, 2]}': '"v" must be an array of integers',
 }
 
 
@@ -598,7 +601,10 @@ def test_cli_import_leaves_the_process_pool_unloaded():
 
 
 def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
-    # The limit is checked before the census builds anything.
+    # The limit is checked before the census builds anything.  At the limit
+    # the census runs for real: the classes of --k 2 are (a, total - a) for
+    # a <= total / 2, whose sum 2**20 is not in m_4, and --exact-in-m 0 drops
+    # the six a in m_4 = {1, 2, 3, 4, 6, 7} (total - a >= 2**19 never is).
     calls = []
     monkeypatch.setattr("knodel.cli._census", lambda *a, **kw: calls.append(a) or [])
     limit = _MAX_ORDER // 2
@@ -607,8 +613,13 @@ def test_enum_seq_refuses_totals_over_half_the_order_limit(capsys, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert str(limit) in err
-    assert run(capsys, *argv, str(limit))[:2] == (0, "count 0\n")
-    assert calls == [(2, limit, 0, 0)]
+    monkeypatch.undo()
+    assert limit == 2**20 and sorted(m_delta(4)) == [1, 2, 3, 4, 6, 7]
+    code, out = enum_seq_stdout(2, limit, 0, 0, expect=2**19 - 6)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2**19 - 5
+    assert lines[:2] == ["5,1048571", "8,1048568"]
+    assert lines[-2:] == ["524288,524288", "count 524282"]
 
 
 def test_enum_seq_refuses_more_than_2_to_the_20_gap_sequences(capsys, monkeypatch):

@@ -124,13 +124,16 @@ def test_from_indices_names_the_first_offender_in_input_order():
         assert str(info.value) == f"vertex index {bad} out of range [1, 8]"
 
 
-@pytest.mark.parametrize("bad", [2.0, "1", None, 1.5])
+@pytest.mark.parametrize("bad", [2.0, "1", None, 1.5, True, False])
 def test_from_indices_rejects_indices_that_are_not_integers(bad):
+    # A bool is refused as g.slot(u(True)) refuses it, though True == 1; a
+    # range's ends are ints, so range(True, 3) is range(1, 3).
     g = build_graph(4, 16)
     message = f"^vertex index must be an integer, got {bad!r}$"
     for sides in (([bad],), ((), [3, bad]), ((2,), range(1, 9), [bad])):
         with pytest.raises(ValueError, match=message):
             VertexSet.from_indices(g, *sides)
+    assert VertexSet.from_indices(g, range(True, 3)) == VertexSet.from_indices(g, [1, 2])
 
 
 def outcome(build):

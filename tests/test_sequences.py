@@ -5,14 +5,17 @@
   on three parameter sets with a filter over raw itertools tuples.
 - It is also compared, whole lists in order, with a copy of the generator it
   replaced (a rotation check on each full sequence).  The comparison covers
-  the benchmark's six parameter sets and every k <= 6, total <= 24 at
-  degrees 3 and 4.
+  the benchmark's six parameter sets, every k <= 6, total <= 24 at degrees 3
+  and 4 (again with the final-pair table cut to 2 gaps and 8 keys), and
+  k <= 3 at totals 130 to 300, past the table's 64 gaps.  A k = 2 census of
+  2**14 classes is held under a tracemalloc bound.
 - Periodic classes such as (2, 3, 2, 3) are checked to appear once.
 - CyclicSequence's accepted inputs (any iterable of positive ints, bools
   included, stored as a tuple) and its error messages are pinned.
 """
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -272,19 +275,39 @@ def test_enumerate_matches_reference_on_the_benchmark_census(params, count):
     assert got == reference_enumerate(*params)
 
 
-def test_enumerate_matches_reference_on_small_parameters():
-    # Whole lists, in order, for every k <= 6, total <= 24 and filter in 0..k.
-    # The reference runs once per exact count, at the loosest adjacent maximum,
-    # and its classes are filtered for each tighter maximum.
-    for delta in (3, 4):
-        for k in range(1, 7):
-            for total in range(k, 25):
-                for exact in range(k + 1):
-                    loosest = reference_enumerate(k, total, exact, k, delta)
-                    for adj in range(k + 1):
-                        got = enumerate_sequences(k, total, exact, adj, delta)
-                        expected = [c for c in loosest if c.adjacent_sums_in_m <= adj]
-                        assert got == expected, (delta, k, total, exact, adj)
+def test_enumerate_matches_reference_on_small_parameters(monkeypatch):
+    # Whole lists, in order, for every k <= 6, total <= 24 and filter in 0..k
+    # at degrees 3 and 4, and for k <= 3 at totals 130, 200 and 300, degrees
+    # 3 to 6, where final-pair ranges pass the table's 64 gaps.  The small
+    # censuses run again, at the loosest adjacent maximum, with the table cut
+    # to ranges of 2 gaps and 8 keys, so they fill it and overflow it too.
+    # The reference runs once per exact count, at the loosest adjacent
+    # maximum, and its classes are filtered for each tighter maximum.
+    small = [(d, k, total) for d in (3, 4) for k in range(1, 7) for total in range(k, 25)]
+    long = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
+    for delta, k, total in small + long:
+        for exact in range(k + 1):
+            loosest = reference_enumerate(k, total, exact, k, delta)
+            for adj in range(k + 1):
+                got = enumerate_sequences(k, total, exact, adj, delta)
+                expected = [c for c in loosest if c.adjacent_sums_in_m <= adj]
+                assert got == expected, (delta, k, total, exact, adj)
+            if total <= 24:
+                with monkeypatch.context() as cut:
+                    cut.setattr(sequences, "_TABLE_RANGE", 2)
+                    cut.setattr(sequences, "_TABLE_KEYS", 8)
+                    assert enumerate_sequences(k, total, exact, k, delta) == loosest
+    # One k = 2 census whose single range, 2**14 gaps, is walked unlisted:
+    # no candidate list is built, so its traced peak stays far below the
+    # 2**14 ints such a list would hold.
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in sequences._census(2, 2**15, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2**14 - 6  # every gap below 2**14 but the six in m_4
+    assert peak < 32 * 1024, peak
 
 
 @pytest.mark.parametrize(

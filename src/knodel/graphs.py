@@ -19,10 +19,11 @@ W(delta, n) is bi-circulant: KnodelGraph.cover_counts, the mask form of the
 rule, sums a set and its delta cyclic shifts per half into bit planes of
 neighbour counts for greedy and the solver, in time linear in n.
 closed_cover, the union of those shifts, is the verifier's one call and
-the solver's forced-waste test, so it ORs the shifts in its own loop.  The
-solver's per-slot tables, cover_masks and near_masks (radius one and two),
-are built once per graph.  Index distances and gap sequences are in
-sequences.py.
+the solver's forced-waste test, so it ORs the shifts in its own loop;
+twice_covered, the slots that two of the terms reach, serves that test's
+graded tier.  The solver's per-slot tables, cover_masks and near_masks
+(radius one and two), are built once per graph.  Index distances and gap
+sequences are in sequences.py.
 _Record, the base of every record class, behaves as a frozen dataclass.
 """
 
@@ -143,7 +144,7 @@ class KnodelGraph(_Record):
             raise ValueError(f"degree {delta} requires order at least 2**{delta}, got {n}")
         self._set(delta, n)
 
-    @property
+    @cached_property
     def half(self) -> int:
         """Size n/2 of each bipartition class."""
         return self.n // 2
@@ -152,6 +153,12 @@ class KnodelGraph(_Record):
     def offsets(self) -> tuple[int, ...]:
         """Adjacency offsets 2**k - 1 for 0 <= k < delta."""
         return tuple(2**k - 1 for k in range(self.delta))
+
+    @cached_property
+    def _shifts(self) -> tuple[tuple[int, int], ...]:
+        """(off, half - off) for each offset: the shifts that place the doubled
+        v-half on U and the doubled u-half on V."""
+        return tuple((off, self.half - off) for off in self.offsets)
 
     def check_vertex(self, x: Vertex) -> None:
         """Raise ValueError unless x is a vertex of this graph."""
@@ -211,10 +218,31 @@ class KnodelGraph(_Record):
         su2 = su << half | su
         sv2 = sv << half | sv
         to_u = to_v = 0
-        for off in self.offsets:
+        for off, back in self._shifts:
             to_u |= sv2 >> off
-            to_v |= su2 >> (half - off)
+            to_v |= su2 >> back
         return mask | to_u & self.u_mask | (to_v & self.u_mask) << half
+
+    def twice_covered(self, mask: int) -> int:
+        """Slots whose closed neighbourhood meets a slot bitmask at least twice.
+
+        One pass over closed_cover's shifts, keeping per half the slots that
+        the terms so far meet once and twice.
+        """
+        half = self.half
+        once_u = mask & self.u_mask
+        once_v = mask >> half
+        su2 = once_u << half | once_u
+        sv2 = once_v << half | once_v
+        twice_u = twice_v = 0
+        for off, back in self._shifts:
+            term = sv2 >> off
+            twice_u |= once_u & term
+            once_u |= term
+            term = su2 >> back
+            twice_v |= once_v & term
+            once_v |= term
+        return twice_u & self.u_mask | (twice_v & self.u_mask) << half
 
     def cover_counts(self, mask: int) -> list[int]:
         """Bit x of planes[i] is bit i of |N[x] & mask|.
@@ -232,8 +260,8 @@ class KnodelGraph(_Record):
         su2 = su << half | su
         sv2 = sv << half | sv
         terms = [mask]
-        for off in self.offsets:
-            terms.append(sv2 >> off & u_mask | (su2 >> (half - off) & u_mask) << half)
+        for off, back in self._shifts:
+            terms.append(sv2 >> off & u_mask | (su2 >> back & u_mask) << half)
         planes = [0] * (self.delta + 1).bit_length()
         for carry in terms:
             for i, plane in enumerate(planes):

@@ -8,7 +8,7 @@ once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
 read at a search root from KnodelGraph.cover_counts and lowered by a borrow
 chain (_without) as slots leave the pool, so the pivot is read without a
 scan.  Each node also carries near = closed_cover(covered), grown by the
-pick's KnodelGraph.near_masks entry.  Three prunes cut the tree:
+pick's KnodelGraph.near_masks entry.  Four prunes cut the tree:
 
 * bipartite counting, at each node: a u-side pick covers at most delta
   undominated v-side vertices and one u-side vertex (and symmetrically), so
@@ -22,6 +22,19 @@ pick's KnodelGraph.near_masks entry.  Three prunes cut the tree:
   closed_cover of the perfect slots needs an imperfect pick, which covers at
   most delta of them and wastes at least one, so the node closes when they
   need more such picks than the slack allows;
+* graded forced waste, at each node the first tier leaves open: a pool
+  slot y wastes |N[y] & covered|, so the slots wasting exactly one are
+  pool & near less KnodelGraph.twice_covered(covered).  A forced vertex
+  outside their closed_cover needs a pick wasting two or more, which
+  covers at most delta - 1 forced vertices; with f forced vertices and f2
+  of these, b = ceil(f2 / (delta - 1)) such picks are needed and the rest
+  need ceil((f - (delta - 1) b) / delta) picks wasting one, so the node
+  closes when 2b plus that exceeds the slack.  More picks wasting two
+  cost 2 each and save at most 1, so b at its least gives the least
+  waste.  The bound is at most 2 * ceil(f / (delta - 1)), and f <= m, so
+  the tier runs only when that passes the slack and the forced vertices
+  are found only when 2 * ceil(m / (delta - 1)) does: neither gate skips a
+  close.  The tier needs delta >= 2;
 * counting, in the parent: children come in descending new cover, so the
   parent counts the first child that (delta + 1) * r cannot finish, and
   all later ones, without a call.
@@ -148,6 +161,7 @@ class _Search:
         self.cover = g.cover_masks
         self.near = g.near_masks
         self.closed_cover = g.closed_cover
+        self.twice_covered = g.twice_covered
         self.full = g.full_mask
         self.u_mask = g.u_mask
         self.half = g.half
@@ -184,13 +198,20 @@ class _Search:
                 return None
         elif uu > budget or uv > budget or need > min(budget, ucap):
             return None
-        # Forced waste.  The forced vertices are at most m, so a node whose m
-        # fits the slack skips the closed_cover.
+        # Forced waste, in two tiers.  Neither bound passes 2 * ceil(f / d1)
+        # (f when delta = 1) for the f <= m forced vertices, so a node whose
+        # m fits the slack skips the closed_cover.
         slack = self.dd * budget - m
-        if m > self.delta * slack:
+        if (2 * -(-m // d1) if d1 else m) > slack:
             forced = und & ~self.closed_cover(pool & ~near)
-            if forced.bit_count() > self.delta * slack:
+            f = forced.bit_count()
+            if f > self.delta * slack:
                 return None
+            if d1 and 2 * -(-f // d1) > slack:
+                one = pool & near & ~self.twice_covered(covered)
+                b = -(-(forced & ~self.closed_cover(one)).bit_count() // d1)
+                if 2 * b + max(0, -(-(f - d1 * b) // self.delta)) > slack:
+                    return None
 
         low = _pivot(und, planes)
         if not low:

@@ -17,9 +17,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import knodel
 from knodel import (
     build_graph,
     common_neighbor_predicate,
@@ -196,7 +198,11 @@ sys.exit(code)
 
 
 def _run_sweep(threads: str | None) -> list[str]:
+    # The child imports the knodel this process imported, with or without an
+    # install or PYTHONPATH in the parent's environment.
     env = {key: value for key, value in os.environ.items() if key != "KNODEL_THREADS"}
+    src = str(Path(knodel.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     if threads is not None:
         env["KNODEL_THREADS"] = threads
     proc = subprocess.run(

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,31 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
     for x in g.vertices():
         hits = sum((plane >> g.slot(x) & 1) << i for i, plane in enumerate(planes))
         assert hits == (_closed_mask(g, x) & mask).bit_count()
+
+
+@pytest.mark.parametrize(
+    "delta,n", [(delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)]
+)
+def test_twice_covered_and_closed_cover_count_closed_neighbours(delta, n):
+    # Random masks from dense to sparse on every valid graph with n <= 64:
+    # slot y is in closed_cover when |N[y] & mask| >= 1 and in twice_covered
+    # when it is >= 2, the count built from neighbor_slots.
+    g = build_graph(delta, n)
+    rng = random.Random(n * 10 + delta)
+    masks = [0, g.full_mask, g.u_mask, g.full_mask ^ g.u_mask]
+    for _ in range(30):
+        mask = rng.getrandbits(n)
+        for _ in range(rng.randint(0, 3)):
+            mask &= rng.getrandbits(n)
+        masks.append(mask)
+    for mask in masks:
+        once = twice = 0
+        for y in range(n):
+            hits = (mask >> y & 1) + sum(mask >> z & 1 for z in g.neighbor_slots(y))
+            once |= (hits >= 1) << y
+            twice |= (hits >= 2) << y
+        assert g.closed_cover(mask) == once
+        assert g.twice_covered(mask) == twice
 
 
 @given(small_graphs(), st.data())

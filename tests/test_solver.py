@@ -12,7 +12,8 @@
   agree, except that W(1, 2) now closes at its root with 0 nodes instead
   of 1.
 - Every node that the forced-waste bound closes on random states of
-  degrees 1 to 6 is checked to have no completion by an exhaustive search.
+  degrees 1 to 6 is checked to have no completion by an exhaustive search;
+  its graded tier closes some of them on its own at every degree from 2.
 - The symmetry cut is checked twice.  Every dominating set of size at most
   gamma of W(2, 8..14), W(3, 16..20) and W(4, 16..22), listed by brute
   force, has an image under the rotations and the swap that the cut keeps
@@ -363,6 +364,8 @@ def test_canonical_search_count_is_pinned(monkeypatch):
     # completion as found.  Its least image that keeps the prefix starts
     # lower, so fewer searches run below it and fewer succeed.  They all run
     # on one _Search per call, where a fresh one each gave 1,607 instances.
+    # The graded tier of forced waste took their nodes from 23,660 to 15,123
+    # and left the searches as they were.
     found, searches = [], []
 
     class RecordedSearch(recorded(_Search, searches)):
@@ -377,7 +380,7 @@ def test_canonical_search_count_is_pinned(monkeypatch):
         canonical_certificate(build_graph(4, n), gamma_formula(n).value)
     assert len(searches) == len(orders)
     assert (len(found), sum(found)) == (1_607, 55)
-    assert sum(search.nodes for search in searches) == 23_660
+    assert sum(search.nodes for search in searches) == 15_123
 
 
 def test_canonical_certificate_not_above_default_certificate():
@@ -494,25 +497,27 @@ def test_fixing_u1_keeps_the_plain_search_value():
 @pytest.mark.parametrize(
     "n,nodes",
     [
-        pytest.param(38, 907, id="38"),
-        pytest.param(48, 579, id="48"),
-        pytest.param(58, 887, id="58"),
+        pytest.param(38, 451, id="38"),
+        pytest.param(48, 416, id="48"),
+        pytest.param(58, 720, id="58"),
         pytest.param(60, 1, id="60"),
-        pytest.param(62, 100, id="62"),
+        pytest.param(62, 90, id="62"),
         pytest.param(64, 1, id="64"),
-        pytest.param(66, 260, id="66"),
-        pytest.param(68, 1_228, id="68"),
-        pytest.param(88, 1_751, id="88"),
-        pytest.param(128, 2_574, id="128"),
-        pytest.param(198, 3_890, id="198"),
-        pytest.param(508, 9_718, id="508"),
+        pytest.param(66, 189, id="66"),
+        pytest.param(68, 959, id="68"),
+        pytest.param(88, 1_323, id="88"),
+        pytest.param(128, 1_876, id="128"),
+        pytest.param(198, 2_786, id="198"),
+        pytest.param(508, 6_816, id="508"),
     ],
 )
 def test_serial_node_counts_are_pinned(n, nodes):
     # Residue 8 grew about as n^4 without the forced-waste prune (88: 140,518;
     # 128: 567,315), and grows about linearly with it; the symmetry cut took
     # 88 from 20,794 and 128 from 31,882, and the gap rule took 88 from 4,472,
-    # 128 from 9,721, 198 from 18,820 and 508 from 64,953.
+    # 128 from 9,721, 198 from 18,820 and 508 from 64,953.  The graded tier
+    # of forced waste took 38 from 907, 88 from 1,751, 128 from 2,574, 198
+    # from 3,890 and 508 from 9,718.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
 
 
@@ -532,16 +537,16 @@ def scan_pivot(search, und, pool):
     return pivot, best_count
 
 
-def scan_branch_slots(search, covered, pool, picked, need=0, forced_waste=True):
+def scan_branch_slots(search, covered, pool, picked, need=0, waste_tiers=2):
     """Reference node: the ordered candidate slots, or None if closed.
 
     The prunes as first written, the bipartite one as a search over splits
     with the symmetry cut's cap on u-side picks and the gap rule's floor
-    need on the u-side share, the forced-waste one from
-    its definition unless forced_waste is false, then the pivot scan over
-    every undominated vertex with an AND and a bit count each; u-side
-    candidates go once the u-slots of the chosen slot mask picked reach the
-    cap.
+    need on the u-side share, the forced-waste one from its definition with
+    its first waste_tiers tiers (0 for none, 1 without the graded rule, 2
+    for all), then the pivot scan over every undominated vertex with an
+    AND and a bit count each; u-side candidates go once the u-slots of the
+    chosen slot mask picked reach the cap.
     """
     size = picked.bit_count()
     upicks = (picked & search.u_mask).bit_count()
@@ -567,15 +572,28 @@ def scan_branch_slots(search, covered, pool, picked, need=0, forced_waste=True):
     ):
         return None
     cover = search.cover
-    if forced_waste:
-        # A perfect pick covers delta + 1 undominated vertices; each other
-        # undominated vertex needs an imperfect pick, which wastes at least one.
-        spread = 0
-        for y in range(len(cover)):
-            if pool >> y & 1 and (cover[y] & und).bit_count() == dd:
-                spread |= cover[y]
-        forced = (und & ~spread).bit_count()
-        if -(-forced // search.delta) > dd * budget - m:
+    slack = dd * budget - m
+    # A pool slot y wastes dd - |N[y] & und|; spread[w] is what the pool
+    # slots wasting exactly w cover.
+    spread = [0, 0]
+    for y in range(len(cover)):
+        waste = dd - (cover[y] & und).bit_count()
+        if pool >> y & 1 and waste <= 1:
+            spread[waste] |= cover[y]
+    forced = und & ~spread[0]
+    f = forced.bit_count()
+    if waste_tiers >= 1:
+        # Each forced vertex needs a pick wasting at least one, which covers
+        # at most delta of them.
+        if -(-f // delta) > slack:
+            return None
+    if waste_tiers >= 2 and delta > 1:
+        # A forced vertex that no pick wasting one covers needs a pick wasting
+        # at least two, which covers at most delta - 1 forced vertices; b such
+        # picks leave the rest to picks wasting one.
+        f2 = (forced & ~spread[1]).bit_count()
+        b = -(-f2 // (delta - 1))
+        if 2 * b + max(0, -(-(f - (delta - 1) * b) // delta)) > slack:
             return None
     pivot, best_count = scan_pivot(search, und, pool)
     if best_count == 0:
@@ -668,9 +686,11 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
     # Random covers, from closed neighbourhoods of sparse sets to arbitrary
     # masks, with budgets at and just above the counting bound: there the
     # slack is small and the forced-waste rule is the one that closes.
+    # States that only its graded tier closes are counted apart, and they
+    # are checked like the rest.
     g = build_graph(delta, n)
     rng = random.Random(n * 10 + delta)
-    closed_by_rule = 0
+    closed_by_rule = closed_by_graded = 0
     for _ in range(200):
         sparse = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
         covered = rng.choice(
@@ -690,10 +710,14 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
             search, covered, pool, picked
         )
-        if got is None and scan_branch_slots(search, covered, pool, picked, 0, False) is not None:
+        if got is None and scan_branch_slots(search, covered, pool, picked, 0, 0) is not None:
             closed_by_rule += 1
             assert not has_completion(g, covered, pool, budget)
+            if scan_branch_slots(search, covered, pool, picked, 0, 1) is not None:
+                closed_by_graded += 1
     assert closed_by_rule > 0
+    # The graded tier is defined for delta >= 2 only.
+    assert closed_by_graded > 0 if delta > 1 else closed_by_graded == 0
 
 
 class CheckedSearch(_Search):

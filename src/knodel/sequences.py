@@ -34,12 +34,11 @@ the length of the prefix's longest Lyndon prefix, the next gap is at least
 the one p places back, and a full sequence is its least rotation iff p
 divides k.  A prefix is dropped once its gaps or adjacent sums in m_delta
 pass their limits, or its gaps in m_delta can no longer reach the exact
-count.  A prefix of k - 3 gaps finishes its children in place, in ascending
-order, and pushes none; so does the root when k = 2.  The last gap is forced,
-so a prefix of k - 2 gaps reads the candidates for its second-to-last gap
-from a per-census table: those in range that reach the exact count.  The
-table keeps lists only for ranges of at most 64 gaps, under at most 4,096
-keys; a longer range is filtered as it is walked, so memory stays flat.
+count.  The last gap is forced, so a prefix of k - 2 gaps reads the
+candidates for its second-to-last gap from a per-census table: those in
+range that reach the exact count.  The table keeps lists only for ranges of
+at most 64 gaps, under at most 4,096 keys; a longer range is filtered as it
+is walked, so memory stays flat.
 """
 
 from __future__ import annotations
@@ -224,8 +223,7 @@ def _least_rotations(
     # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
     # sums in m, p); p is the length of the prefix's longest Lyndon prefix.
     # Children are pushed in descending order, so prefixes come off the stack
-    # in lexicographic order.  A prefix of k - 3 gaps pushes none: it
-    # collects its children and finishes them in place, in ascending order.
+    # in lexicographic order.
     stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), total, 0, 0, 1)]
     while stack:
         t, remaining, in_m, sums_in_m, p = stack.pop()
@@ -237,7 +235,7 @@ def _least_rotations(
         else:
             # prev = -total: the first gap has no adjacent sum before it.
             lo, hi, prev = 1, total // k, -total
-        if depth < last - 2:
+        if depth < last - 1:
             short = exact - (last - depth)
             for gap in range(hi, lo - 1, -1):
                 count = in_m + (gap in m)
@@ -248,42 +246,31 @@ def _least_rotations(
                     lyndon = p if gap == lo else depth + 1
                     stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
             continue
-        if depth == last - 1:  # the root, when k = 2
-            kids = [(t, remaining, in_m, sums_in_m, p, lo, hi, prev)]
-        else:
-            kids = []
-            for gap in range(lo, hi + 1):
-                count = in_m + (gap in m)
-                sums = sums_in_m + (prev + gap in m)
-                if exact - 2 <= count <= exact and sums <= sums_max:
-                    kid, rest, lyndon = t + (gap,), remaining - gap, p if gap == lo else depth + 1
-                    kids.append((kid, rest, count, sums, lyndon, kid[-lyndon], rest - kid[0], gap))
-        # Each prefix t of k - 2 gaps picks its final pair (gap, end).
-        for t, remaining, in_m, sums_in_m, p, lo, hi, prev in kids:
-            if hi < lo:
+        # A prefix t of k - 2 gaps picks its final pair (gap, end).
+        if hi < lo:
+            continue
+        key = (remaining, lo, hi, exact - in_m)
+        gaps = table.get(key)
+        if gaps is None:
+            need = key[3]
+            gaps = (g for g in range(lo, hi + 1) if (g in m) + (remaining - g in m) == need)
+            if hi - lo < _TABLE_RANGE:
+                gaps = list(gaps)
+                if len(table) < _TABLE_KEYS:
+                    table[key] = gaps
+        # t + (gap, end) is its least rotation iff end extends the
+        # prenecklace t + (gap,) and k is a multiple of the new p: at
+        # gap = lo p stays; above it p = k - 1, and end >= first = t[0]
+        # with equality only at gap = hi (for k = 2, first = -total).
+        back, first = (t + (lo,))[last - p], t[0] if t else -total
+        sums_in_m += remaining in m
+        for gap in gaps:
+            end = remaining - gap
+            if end == first if gap > lo else end < back or (end == back and k % p):
                 continue
-            key = (remaining, lo, hi, exact - in_m)
-            gaps = table.get(key)
-            if gaps is None:
-                need = key[3]
-                gaps = (g for g in range(lo, hi + 1) if (g in m) + (remaining - g in m) == need)
-                if hi - lo < _TABLE_RANGE:
-                    gaps = list(gaps)
-                    if len(table) < _TABLE_KEYS:
-                        table[key] = gaps
-            # t + (gap, end) is its least rotation iff end extends the
-            # prenecklace t + (gap,) and k is a multiple of the new p: at
-            # gap = lo p stays; above it p = k - 1, and end >= first = t[0]
-            # with equality only at gap = hi (for k = 2, first = -total).
-            back, first = (t + (lo,))[last - p], t[0] if t else -total
-            sums_in_m += remaining in m
-            for gap in gaps:
-                end = remaining - gap
-                if end == first if gap > lo else end < back or (end == back and k % p):
-                    continue
-                sums = sums_in_m + (prev + gap in m) + (end + first in m)
-                if sums <= sums_max:
-                    yield t + (gap, end), sums
+            sums = sums_in_m + (prev + gap in m) + (end + first in m)
+            if sums <= sums_max:
+                yield t + (gap, end), sums
 
 
 def enumerate_sequences(

@@ -1,14 +1,15 @@
 """Exact minimum dominating sets by branch and bound.
 
-The search works on slot bitmasks.  Each node picks an undominated vertex x
-whose closed neighbourhood meets the fewest remaining candidates and branches
-on every candidate that could cover x; candidates consumed by earlier
-siblings are dropped from later ones, so each dominating set is enumerated
-once.  Each vertex's candidate count |N[x] & pool| is kept as bit planes,
-read at a search root from KnodelGraph.cover_counts and lowered by a borrow
-chain (_without) as slots leave the pool, so the pivot is read without a
-scan.  Each node also carries near = closed_cover(covered), grown by the
-pick's KnodelGraph.near_masks entry.  Four prunes cut the tree:
+The search works on slot bitmasks.  Each node picks the lowest undominated
+vertex x whose closed neighbourhood meets the fewest remaining candidates
+and branches on every candidate that could cover x, closing when there is
+none; candidates consumed by earlier siblings are dropped from later ones,
+so each dominating set is enumerated once.  Each vertex's candidate count
+|N[x] & pool| is kept as bit planes, read at a search root from
+KnodelGraph.cover_counts and lowered by a borrow chain (_without) as slots
+leave the pool, so the pivot is read without a scan.  Each node also carries
+near = closed_cover(covered), grown by the pick's KnodelGraph.near_masks
+entry.  Four prunes cut the tree:
 
 * bipartite counting, at each node: a u-side pick covers at most delta
   undominated v-side vertices and one u-side vertex (and symmetrically), so
@@ -126,14 +127,9 @@ class SolveResult(_Record):
 
 
 def _pivot(und: int, planes: list[int]) -> int:
-    """Bit of the lowest undominated slot with at most one candidate, else
-    of the lowest one with the fewest; 0 when that slot has no candidate."""
-    high = 0
-    for plane in planes[1:]:
-        high |= plane
-    low = und & ~high
-    if low:
-        return low & -low & planes[0]
+    """Bit of the lowest undominated slot with the fewest candidates, 0 when
+    und is: from the top plane down, keep the slots whose bit is clear, if
+    any are."""
     low = und
     for plane in reversed(planes):
         if low & ~plane:
@@ -214,7 +210,7 @@ class _Search:
                     return None
 
         low = _pivot(und, planes)
-        if not low:
+        if not low:  # already dominated
             return None
         cover = self.cover
         members = []
@@ -227,7 +223,7 @@ class _Search:
             members.append(((cover[slot] & und).bit_count(), -slot))
             pm ^= low
         members.sort(reverse=True)
-        return m, members
+        return (m, members) if members else None
 
     def run(
         self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int

@@ -7,8 +7,9 @@
   replaced (a rotation check on each full sequence).  The comparison covers
   the benchmark's six parameter sets, every k <= 6, total <= 24 at degrees 3
   and 4 (again with the final-pair table cut to 2 gaps and 8 keys), and
-  k <= 3 at totals 130 to 300, past the table's 64 gaps.  A k = 2 census of
-  2**14 classes is held under a tracemalloc bound.
+  k <= 3 at totals 130 to 300 and k = 4 at total 130, past the table's 64
+  gaps.  A k = 2 census of 2**14 classes, and a k = 4 census with the table
+  cut to 8 keys, are held under tracemalloc bounds.
 - Periodic classes such as (2, 3, 2, 3) are checked to appear once.
 - CyclicSequence's accepted inputs (any iterable of positive ints, bools
   included, stored as a tuple) and its error messages are pinned.
@@ -277,14 +278,16 @@ def test_enumerate_matches_reference_on_the_benchmark_census(params, count):
 
 def test_enumerate_matches_reference_on_small_parameters(monkeypatch):
     # Whole lists, in order, for every k <= 6, total <= 24 and filter in 0..k
-    # at degrees 3 and 4, and for k <= 3 at totals 130, 200 and 300, degrees
-    # 3 to 6, where final-pair ranges pass the table's 64 gaps.  The small
+    # at degrees 3 and 4, for k <= 3 at totals 130, 200 and 300, degrees 3 to
+    # 6, and for k = 4 at total 130, degree 4, where final-pair ranges pass
+    # the table's 64 gaps below prefixes of every depth.  The small
     # censuses run again, at the loosest adjacent maximum, with the table cut
     # to ranges of 2 gaps and 8 keys, so they fill it and overflow it too.
     # The reference runs once per exact count, at the loosest adjacent
     # maximum, and its classes are filtered for each tighter maximum.
     small = [(d, k, total) for d in (3, 4) for k in range(1, 7) for total in range(k, 25)]
     long = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
+    long.append((4, 4, 130))
     for delta, k, total in small + long:
         for exact in range(k + 1):
             loosest = reference_enumerate(k, total, exact, k, delta)
@@ -308,6 +311,21 @@ def test_enumerate_matches_reference_on_small_parameters(monkeypatch):
         tracemalloc.stop()
     assert count == 2**14 - 6  # every gap below 2**14 but the six in m_4
     assert peak < 32 * 1024, peak
+
+
+def test_final_pair_table_stops_at_its_key_cap(monkeypatch):
+    # A k = 4 census whose final-pair ranges are all listed, under about a
+    # thousand keys: cut to 8 keys, the traced peak is about 8 KB, and a
+    # table that ignored its key cap would hold about 344 KB.
+    monkeypatch.setattr(sequences, "_TABLE_KEYS", 8)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in sequences._census(4, 120, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 34_805
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize(

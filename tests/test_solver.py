@@ -522,7 +522,8 @@ def test_serial_node_counts_are_pinned(n, nodes):
 
 
 def scan_pivot(search, und, pool):
-    """The pivot scan the bit planes replaced: (pivot slot, its count)."""
+    """The pivot scan the bit planes replaced: the lowest undominated slot
+    with the fewest candidates."""
     pivot, best_count = -1, 1 << 62
     t = und
     while t:
@@ -531,10 +532,8 @@ def scan_pivot(search, und, pool):
         c = (search.cover[slot] & pool).bit_count()
         if c < best_count:
             best_count, pivot = c, slot
-            if c <= 1:
-                break
         t ^= low
-    return pivot, best_count
+    return pivot
 
 
 def scan_branch_slots(search, covered, pool, picked, need=0, waste_tiers=2):
@@ -546,7 +545,8 @@ def scan_branch_slots(search, covered, pool, picked, need=0, waste_tiers=2):
     its first waste_tiers tiers (0 for none, 1 without the graded rule, 2
     for all), then the pivot scan over every undominated vertex with an
     AND and a bit count each; u-side candidates go once the u-slots of the
-    chosen slot mask picked reach the cap.
+    chosen slot mask picked reach the cap, and a pivot with no candidate
+    left closes the node.
     """
     size = picked.bit_count()
     upicks = (picked & search.u_mask).bit_count()
@@ -595,15 +595,13 @@ def scan_branch_slots(search, covered, pool, picked, need=0, waste_tiers=2):
         b = -(-f2 // (delta - 1))
         if 2 * b + max(0, -(-(f - (delta - 1) * b) // delta)) > slack:
             return None
-    pivot, best_count = scan_pivot(search, und, pool)
-    if best_count == 0:
-        return None
+    pivot = scan_pivot(search, und, pool)
     members = sorted(
         ((cover[s] & und).bit_count(), -s)
         for s in range(len(cover))
         if (cover[pivot] & pool) >> s & 1 and (s >= search.half or upicks < search.u_cap)
     )
-    return [-neg for _, neg in reversed(members)]
+    return [-neg for _, neg in reversed(members)] or None
 
 
 def plane_counts(planes, n):
@@ -641,8 +639,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
 
         und = g.full_mask & ~covered
         if und:
-            pivot, count = scan_pivot(search, und, pool)
-            assert _pivot(und, planes) == (count and 1 << pivot)
+            assert _pivot(und, planes) == 1 << scan_pivot(search, und, pool)
         expected = scan_branch_slots(search, covered, pool, picked, need)
         got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, picked, need)
         if expected is None:

@@ -21,11 +21,10 @@ import math
 import operator
 import sys
 import time
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .domination import VertexSet, undominated
-from .gamma4 import MIN_ORDER, ConstructionError, construct_dominating_set, gamma_formula
+from .gamma4 import ConstructionError, construct_dominating_set, gamma_formula
 from .graphs import KnodelGraph, build_graph
 from .sequences import _census
 from .solver import canonical_certificate, solve_exact
@@ -37,6 +36,9 @@ __all__ = ["main"]
 # enum-seq accepts --total up to half of it: its gap sequences place
 # vertices on one side of W(delta, 2 * total), so it takes the same orders.
 _MAX_ORDER = 2**21
+# The most characters verify reads of a set document: every valid one fits,
+# as all 2**21 indices take 15.9 Mi compact and 31.9 Mi with indent=4.
+_MAX_DOCUMENT = 16 * _MAX_ORDER
 # The largest order an exact solve accepts: solve_exact builds n cover masks
 # and n near masks of n bits each, about n^2 / 4 bytes (64 MB here).
 _MAX_EXACT_ORDER = 2**14
@@ -85,12 +87,15 @@ def _strictly_increasing(value: object, key: str) -> list:
 
 def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     try:
-        raw = Path(path).read_text()
+        with open(path) as f:
+            raw = f.read(_MAX_DOCUMENT + 1)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
+    if len(raw) > _MAX_DOCUMENT:
+        raise ValueError(f"{path} is longer than the limit of {_MAX_DOCUMENT} characters")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}")
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must contain a JSON object")
@@ -167,10 +172,6 @@ def _labels(s: VertexSet) -> Iterator[str]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.start % 2 or args.stop % 2:
-        raise ValueError("sweep bounds must be even")
-    if args.start < MIN_ORDER:
-        raise ValueError(f"--from {args.start} is below the smallest order {MIN_ORDER}")
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} exceeds --to {args.stop}")
     if args.stop > _MAX_ORDER:
@@ -182,6 +183,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"--to {args.stop} exceeds the exact-solve limit {_MAX_EXACT_ORDER}; "
             "--budget 0 skips the solver"
         )
+    build_graph(4, args.start)
+    build_graph(4, args.stop)
     failures = []
 
     def rows() -> Iterator[str]:

@@ -1,9 +1,10 @@
 """Closed-form domination numbers of W(4, n) and matching explicit sets.
 
-For every even n >= 16 the domination number is 2 * floor(n/10) plus a small
-addend fixed by n mod 10, with six small orders (16, 18, 26, 28, 36, 38)
-falling outside the residue pattern.  construct_dominating_set() returns an
-optimal set witnessing the value: the general shape places stride-5 index
+For every even n >= 2**4, the orders that graphs.KnodelGraph admits at
+degree 4, the domination number is 2 * floor(n/10) plus a small addend fixed
+by n mod 10, with six small orders (16, 18, 26, 28, 36, 38) falling outside
+the residue pattern.  construct_dominating_set() returns an optimal set
+witnessing the value: the general shape places stride-5 index
 progressions on both sides, the six irregular orders come from a lookup
 table, and every result is re-verified before being returned.
 """
@@ -20,8 +21,6 @@ __all__ = [
     "gamma_formula",
     "construct_dominating_set",
 ]
-
-MIN_ORDER = 16
 
 # Optimal dominating sets (u-side indices, v-side indices) for the six
 # orders whose value does not follow their residue class.
@@ -50,11 +49,6 @@ class GammaFormulaResult(_Record):
         self._set(n, t, residue, addend, value, exceptional)
 
 
-def _check_order(n: int) -> None:
-    if n % 2 != 0 or n < MIN_ORDER:
-        raise ValueError(f"order must be an even integer >= {MIN_ORDER}, got {n}")
-
-
 def gamma_formula(n: int) -> GammaFormulaResult:
     """Domination number of W(4, n) by the piecewise residue formula.
 
@@ -62,7 +56,7 @@ def gamma_formula(n: int) -> GammaFormulaResult:
     2 and 4; 3 for residue 6; 4 for residue 8.  The six exceptional orders
     take the size of their EXCEPTIONAL_ORDERS set less 2 * floor(n/10).
     """
-    _check_order(n)
+    build_graph(4, n)  # refuses n unless W(4, n) exists
     t, residue = divmod(n, 10)
     exceptional = n in EXCEPTIONAL_ORDERS
     if exceptional:
@@ -94,7 +88,6 @@ def construct_dominating_set(n: int) -> VertexSet:
     Raises ConstructionError (with the uncovered vertices attached) if the
     built set ever failed to dominate or had the wrong size.
     """
-    _check_order(n)
     g = build_graph(4, n)
     if n in EXCEPTIONAL_ORDERS:
         u_indices, v_indices = EXCEPTIONAL_ORDERS[n]

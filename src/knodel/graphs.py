@@ -13,17 +13,17 @@ O(1) to build.  Internally each vertex also has a *slot*, a 0-based position
 in the fixed order u_1..u_{n/2}, v_1..v_{n/2}, which the domination and
 solver modules use to index bitmasks.
 
-No other module reads the offsets.  KnodelGraph.neighbor_slots is the rule
-for one slot, in offset order.  The rule depends only on j - i, so
-W(delta, n) is bi-circulant: KnodelGraph.cover_counts, the mask form of the
-rule, sums a set and its delta cyclic shifts per half into bit planes of
-neighbour counts for greedy and the solver, in time linear in n.
-closed_cover, the union of those shifts, is the verifier's one call and
-the solver's forced-waste test, so it ORs the shifts in its own loop;
-twice_covered, the slots that two of the terms reach, serves that test's
-graded tier.  The solver's per-slot tables, cover_masks and near_masks
-(radius one and two), are built once per graph.  Index distances and gap
-sequences are in sequences.py.
+_offsets states the rule and KnodelGraph checks (delta, n) for every module;
+m_delta in sequences.py, with index distances and gap sequences, is the
+differences of _offsets(delta).  neighbor_slots is the rule for one slot, in
+offset order.  The rule depends only on j - i, so W(delta, n) is
+bi-circulant: cover_counts, the mask form of the rule, sums a set and its
+delta cyclic shifts per half into bit planes of neighbour counts for greedy
+and the solver, in time linear in n.  closed_cover, the union of those
+shifts, is the verifier's one call and the solver's forced-waste test, so it
+ORs the shifts in its own loop; twice_covered, the slots that two of the
+terms reach, serves that test's graded tier.  The solver's per-slot tables,
+cover_masks and near_masks (radius one and two), are built once per graph.
 _Record, the base of every record class, behaves as a frozen dataclass.
 """
 
@@ -43,6 +43,11 @@ __all__ = [
     "build_graph",
     "neighbors",
 ]
+
+
+def _offsets(delta: int) -> tuple[int, ...]:
+    """The adjacency offsets of W(delta, n), ascending."""
+    return tuple(2**k - 1 for k in range(delta))
 
 
 def _check_int(name: str, value: object) -> None:
@@ -151,8 +156,8 @@ class KnodelGraph(_Record):
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        """Adjacency offsets 2**k - 1 for 0 <= k < delta."""
-        return tuple(2**k - 1 for k in range(self.delta))
+        """Adjacency offsets, _offsets(delta)."""
+        return _offsets(self.delta)
 
     @cached_property
     def _shifts(self) -> tuple[tuple[int, int], ...]:

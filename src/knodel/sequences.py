@@ -44,10 +44,10 @@ is walked, so memory stays flat.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations, repeat
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator
 
-from .graphs import KnodelGraph, Vertex, _Record, neighbors, u
+from .graphs import KnodelGraph, Vertex, _Record, _offsets, neighbors, u
 
 _TABLE_RANGE, _TABLE_KEYS = 64, 4096  # the final-pair table's two bounds
 
@@ -68,16 +68,14 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def m_delta(delta: int) -> frozenset[int]:
-    """The difference set {2**a - 2**b : 0 <= b < a < delta}.
+    """The offsets' pairwise differences {2**a - 2**b : 0 <= b < a < delta}.
 
     Membership of an index distance in this set (or of its complement to
     n/2) characterises same-side vertex pairs with a common neighbour.
     """
     if delta < 2:
         raise ValueError(f"degree must be at least 2, got {delta}")
-    return frozenset(
-        2**a - 2**b for a in range(1, delta) for b in range(a)
-    )
+    return frozenset(b - a for a, b in combinations(_offsets(delta), 2))
 
 
 def _check_same_side_pair(g: KnodelGraph, a: Vertex, b: Vertex) -> None:
@@ -110,7 +108,7 @@ class CyclicSequence(_Record):
         gaps = tuple(gaps)
         if not gaps:
             raise ValueError("gap sequence must be non-empty")
-        if not all(map(isinstance, gaps, repeat(int))) or min(gaps) <= 0:
+        if not {int}.issuperset(map(type, gaps)) or min(gaps) <= 0:
             raise ValueError(f"gaps must be positive integers, got {gaps}")
         if sum(gaps) != half:
             raise ValueError(f"gaps {gaps} sum to {sum(gaps)}, expected {half}")

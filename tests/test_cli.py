@@ -45,6 +45,7 @@ from knodel import (
     undominated,
 )
 from knodel.cli import (
+    _MAX_DOCUMENT,
     _MAX_EXACT_ORDER,
     _MAX_K,
     _MAX_ORDER,
@@ -99,6 +100,15 @@ def test_gamma_canonical_certificate(capsys):
 def test_gamma_rejects_bad_orders(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 2
+
+
+def test_orders_below_the_degree_minimum_get_one_message(capsys):
+    # Each command checks an order by building W(4, n), so each refuses 14
+    # with the graph's own message, whether it solves, constructs or sweeps.
+    message = "error: degree 4 requires order at least 2**4, got 14\n"
+    for argv in (("gamma", "14"), ("gamma", "14", "--method", "exact"), ("construct", "14"),
+                 ("sweep", "--from", "14", "--to", "20")):
+        assert run(capsys, *argv) == (2, "", message), argv
 
 
 def test_construct_writes_set_document(capsys, tmp_path):
@@ -173,6 +183,9 @@ REJECTED_DOCUMENTS = {
         f"vertex index {10**30} out of range [1, 8]",
     '{"n": 16, "delta": 4, "u": [3, 7, 0, 12, 9], "v": []}': '"u" must be sorted and deduplicated',
     '{"n": 16, "delta": 4, "u": [0], "v": [true, 2]}': '"v" must be an array of integers',
+    # json.loads raises RecursionError on this, not JSONDecodeError.
+    "[" * 100_000 + "]" * 100_000: "invalid JSON in {path}: maximum recursion depth exceeded "
+        "while decoding a JSON array from a unicode string",
 }
 
 
@@ -187,8 +200,9 @@ def test_verify_fail_report_is_undominated_in_slot_order(capsys, tmp_path, n):
     assert out == f"FAIL undominated={n}\n" + "".join(f"{x}\n" for x in undominated(g, VertexSet(g)))
 
 
-@pytest.mark.parametrize(
-    "doc, message", [pytest.param(doc, msg, id=doc) for doc, msg in REJECTED_DOCUMENTS.items()]
+@pytest.mark.parametrize(  # an id keeps a document's first 100 characters
+    "doc, message",
+    [pytest.param(doc, msg, id=doc[:100]) for doc, msg in REJECTED_DOCUMENTS.items()],
 )
 def test_verify_rejects_malformed_documents(capsys, tmp_path, doc, message):
     target = tmp_path / "doc.json"
@@ -218,6 +232,20 @@ def test_verify_refuses_orders_over_the_document_limit(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert str(_MAX_ORDER) in err
+
+
+def test_verify_reads_no_more_than_the_document_limit(capsys, tmp_path):
+    # A valid document padded to the limit passes; one more character is
+    # refused before json parses it, as is /dev/zero, which never ends.
+    at_limit, over = tmp_path / "at_limit.json", tmp_path / "over.json"
+    doc = _set_document(construct_dominating_set(16))
+    at_limit.write_text(doc.ljust(_MAX_DOCUMENT))
+    over.write_text(doc.ljust(_MAX_DOCUMENT + 1))
+    assert run(capsys, "verify", "--set", str(at_limit)) == (0, "PASS\n", "")
+    paths = [over] + [Path("/dev/zero")] * Path("/dev/zero").exists()
+    for path in paths:
+        message = f"error: {path} is longer than the limit of {_MAX_DOCUMENT} characters\n"
+        assert run(capsys, "verify", "--set", str(path)) == (2, "", message)
 
 
 def test_sweep_range_agrees(capsys):

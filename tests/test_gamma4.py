@@ -63,8 +63,10 @@ def test_formula_addend_by_residue_class():
         assert r.value == 2 * (n // 10) + expected
 
 
-@pytest.mark.parametrize("n", [15, 14, 12, 17, 0, -2, 8])
+@pytest.mark.parametrize("n", [15, 14, 12, 17, 0, -2, 8, 40.0, True, "40"])
 def test_formula_rejects_bad_orders(n):
+    # Both check n by building W(4, n), which refuses every n that is not
+    # an even int of at least 2**4, bools and integral floats included.
     with pytest.raises(ValueError):
         gamma_formula(n)
     with pytest.raises(ValueError):

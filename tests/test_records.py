@@ -85,7 +85,7 @@ def samples():
             CyclicSequence((1, 2, 3), 6),
             CyclicSequence((2, 3, 1), 6),
             CyclicSequence([1, 2, 3], 6),
-            CyclicSequence((True, 2), 3),
+            CyclicSequence((1, 2), 3),
         ],
         SequenceClass: enumerate_sequences(3, 15, 1, 3) + enumerate_sequences(3, 15, 1, 3)[:1],
     }

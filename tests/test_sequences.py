@@ -81,7 +81,9 @@ def rotations(gaps):
         ((6.5, 6.5), 13, "gaps must be positive integers, got (6.5, 6.5)"),
         ([3, "5", 5], 13, "gaps must be positive integers, got (3, '5', 5)"),
         ((3, 5, 4), 13, "gaps (3, 5, 4) sum to 12, expected 13"),
-        ([True, 1], 3, "gaps (True, 1) sum to 2, expected 3"),
+        ([True, 1], 3, "gaps must be positive integers, got (True, 1)"),
+        ((True, True), 2, "gaps must be positive integers, got (True, True)"),
+        ((12, True), 13, "gaps must be positive integers, got (12, True)"),
     ],
 )
 def test_cyclic_sequence_rejects_bad_gaps_with_pinned_messages(gaps, half, message):
@@ -90,16 +92,15 @@ def test_cyclic_sequence_rejects_bad_gaps_with_pinned_messages(gaps, half, messa
     assert str(exc.value) == message
 
 
-def test_cyclic_sequence_accepts_lists_iterators_and_bools_as_tuples():
-    # Any iterable of positive ints (bools included) is stored as a plain
-    # tuple; a tuple is kept as given.
+def test_cyclic_sequence_accepts_lists_and_iterators_as_tuples():
+    # Any iterable of positive ints is stored as a plain tuple; a tuple is
+    # kept as given.  Bools are refused, as VertexSet.from_indices refuses
+    # them.
     gaps = (3, 5, 5)
     assert CyclicSequence(gaps, 13).gaps is gaps
     for given_gaps in ([3, 5, 5], iter([3, 5, 5]), (q for q in gaps)):
         seq = CyclicSequence(given_gaps, 13)
         assert type(seq.gaps) is tuple and seq == CyclicSequence(gaps, 13)
-    flags = CyclicSequence([True, True], 2)
-    assert flags.gaps == (True, True) and type(flags.gaps) is tuple
 
 
 def test_canonical_rotation_known_values():

@@ -78,7 +78,7 @@ def _strictly_increasing(value: object, key: str) -> list:
     if not isinstance(value, list):
         raise ValueError(f'"{key}" must be an array of integers')
     try:
-        if not all(map(operator.lt, value, value[1:])):
+        if not all(map(operator.lt, value, itertools.islice(value, 1, None))):
             raise ValueError(f'"{key}" must be sorted and deduplicated')
     except TypeError:
         raise ValueError(f'"{key}" must be an array of integers') from None

@@ -7,7 +7,7 @@ in n; it is the single source of truth for every construction and certificate.
 Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 Masks convert to and from index and slot lists (_positions, _slots_mask)
 through bin(), bytes.translate and itertools, linear in n with no Python
-loop per bit or index; a range of slots is set with one extended-slice store.
+loop per bit or index.
 """
 
 from __future__ import annotations
@@ -39,21 +39,10 @@ def _positions(mask: int, base: int = 0) -> list[int]:
     return list(compress(range(base, base + len(flags)), flags))
 
 
-def _slots_mask(n: int, *parts: Iterable[int], base: int = 0) -> int:
-    """Bitmask over n slots with bit s - base set for each s in the parts.
-
-    A range part is set with one extended-slice store, any other part one
-    slot at a time.  Every s must lie in [base, base + n); callers check.
-    """
+def _slots_mask(n: int, slots: Iterable[int], base: int = 0) -> int:
+    """Bitmask over n slots, one store per s in slots: bit s - base, s in [base, base + n)."""
     flags = bytearray(base + n)
-    for part in parts:
-        if isinstance(part, range):
-            if part.step < 0:
-                part = part[::-1]  # ascending, so that a stop of -1 cannot wrap
-            if part:  # an empty range's stop may be negative too
-                flags[part.start : part.stop : part.step] = b"\1" * len(part)
-        else:
-            deque(map(flags.__setitem__, part, repeat(1)), maxlen=0)
+    deque(map(flags.__setitem__, slots, repeat(1)), maxlen=0)
     del flags[:base]
     return int(flags[::-1].translate(_TO_DIGITS), 2)
 
@@ -71,34 +60,23 @@ class VertexSet(_Record):
 
     @classmethod
     def from_indices(
-        cls,
-        graph: KnodelGraph,
-        u_indices: Iterable[int] = (),
-        v_indices: Iterable[int] = (),
-        v_extra: Iterable[int] = (),
+        cls, graph: KnodelGraph, u_indices: Iterable[int] = (), v_indices: Iterable[int] = ()
     ) -> "VertexSet":
-        """Set {u_i : i in u_indices} | {v_j : j in v_indices or v_extra}.
+        """Set {u_i : i in u_indices} | {v_j : j in v_indices}.
 
-        A range is checked at its two ends and set with one slice store, any
-        other iterable index by index, in one scan of its types (an index
-        must be an int, not a bool) and one of its values; v_extra adds a few
-        indices to a range.
+        Each side, any iterable, is read into a list, checked by one scan of
+        its types (an int, not a bool) and one min/max, then set per index.
         """
         half = graph.half
-        sides = [s if isinstance(s, range) else list(s) for s in (u_indices, v_indices, v_extra)]
+        us, vs = sides = list(u_indices), list(v_indices)
         for side in filter(None, sides):
-            if isinstance(side, range):
-                ends = side[0], side[-1]
-            else:
-                ends = side
-                if not {int}.issuperset(map(type, side)):
-                    for i in side:
-                        _check_int("vertex index", i)
-            if not 1 <= min(ends) <= max(ends) <= half:
+            if not {int}.issuperset(map(type, side)):
+                for i in side:
+                    _check_int("vertex index", i)
+            if not 1 <= min(side) <= max(side) <= half:
                 bad = next(i for i in side if not 1 <= i <= half)
                 raise ValueError(f"vertex index {bad} out of range [1, {half}]")
-        us, vs, extra = sides
-        mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, extra, base=1) << half
+        mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, base=1) << half
         return cls(graph, mask)
 
     def __len__(self) -> int:

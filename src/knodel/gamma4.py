@@ -4,9 +4,9 @@ For every even n >= 2**4, the orders that graphs.KnodelGraph admits at
 degree 4, the domination number is 2 * floor(n/10) plus a small addend fixed
 by n mod 10, with six small orders (16, 18, 26, 28, 36, 38) falling outside
 the residue pattern.  construct_dominating_set() returns an optimal set
-witnessing the value: the general shape places stride-5 index
-progressions on both sides, the six irregular orders come from a lookup
-table, and every result is re-verified before being returned.
+witnessing the value: stride-5 index progressions on both sides, each one
+geometric-series mask, plus a few extras; the six irregular orders come from
+a lookup table, and every result is re-verified before being returned.
 """
 
 from __future__ import annotations
@@ -90,15 +90,16 @@ def construct_dominating_set(n: int) -> VertexSet:
     """
     g = build_graph(4, n)
     if n in EXCEPTIONAL_ORDERS:
-        u_indices, v_indices = EXCEPTIONAL_ORDERS[n]
-        extras: tuple[int, ...] = ()
+        ds = VertexSet.from_indices(g, *EXCEPTIONAL_ORDERS[n])
     else:
+        # stride sets bits 0, 5, ..., 5t - 5 (u_1, u_6, ...; v_5, v_10, ... once
+        # shifted by 4), the sum of 32**i for i < t; no v-side extra is a multiple of 5.
         t, residue = divmod(n, 10)
-        u_indices = range(1, 5 * t - 3 if residue == 0 else 5 * t + 2, 5)
-        v_indices = range(5, 5 * t + 1, 5)
-        # v-side indices added to the multiples of 5; none is one itself.
+        stride = ((1 << 5 * t) - 1) // 31
         extras = {0: (), 2: (5 * t + 1,), 4: (3,), 6: (2, 3), 8: (3, 5 * t - 2, 5 * t + 3)}[residue]
-    ds = VertexSet.from_indices(g, u_indices, v_indices, extras)
+        us = stride if residue == 0 else stride | 1 << 5 * t
+        vs = stride << 4 | sum(1 << j - 1 for j in extras)
+        ds = VertexSet(g, us | vs << g.half)
     _verify(g, ds, n)
     return ds
 

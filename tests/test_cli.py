@@ -52,6 +52,7 @@ from knodel.cli import (
     _build_parser,
     _census,
     _set_document,
+    _strictly_increasing,
     main,
 )
 from knodel.domination import VertexSet
@@ -246,6 +247,21 @@ def test_verify_reads_no_more_than_the_document_limit(capsys, tmp_path):
     for path in paths:
         message = f"error: {path} is longer than the limit of {_MAX_DOCUMENT} characters\n"
         assert run(capsys, "verify", "--set", str(path)) == (2, "", message)
+
+
+def test_sorted_check_copies_no_index_array():
+    # A copy of a 10**6-member list, as value[1:] made, takes 8 MB; the
+    # neighbour comparison reads the list in place.
+    value = list(range(10**6))
+    tracemalloc.start()
+    try:
+        assert _strictly_increasing(value, "u") is value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(ValueError, match='^"u" must be sorted and deduplicated$'):
+        _strictly_increasing([*value, 0], "u")
 
 
 def test_sweep_range_agrees(capsys):

@@ -1,8 +1,8 @@
 """Vertex sets, the verifier, the bounds and greedy.
 
 - The mask conversions are compared with per-bit references, and
-  from_indices on ranges (one slice store) with from_indices on the same
-  indices as lists (one store per index).
+  from_indices on ranges and other iterables with from_indices on the same
+  indices as lists.
 - Greedy is compared with the simple code it replaced, a greedy that
   rescans every cover mask for each pick, on every valid graph of degrees
   1 to 7 with n <= 128.  On degrees 1 to 6, every pick is checked to cover
@@ -10,6 +10,7 @@
 """
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -127,10 +128,10 @@ def test_from_indices_names_the_first_offender_in_input_order():
 @pytest.mark.parametrize("bad", [2.0, "1", None, 1.5, True, False])
 def test_from_indices_rejects_indices_that_are_not_integers(bad):
     # A bool is refused as g.slot(u(True)) refuses it, though True == 1; a
-    # range's ends are ints, so range(True, 3) is range(1, 3).
+    # range's members are ints, so range(True, 3) is range(1, 3).
     g = build_graph(4, 16)
     message = f"^vertex index must be an integer, got {bad!r}$"
-    for sides in (([bad],), ((), [3, bad]), ((2,), range(1, 9), [bad])):
+    for sides in (([bad],), ((), [3, bad])):
         with pytest.raises(ValueError, match=message):
             VertexSet.from_indices(g, *sides)
     assert VertexSet.from_indices(g, range(True, 3)) == VertexSet.from_indices(g, [1, 2])
@@ -150,17 +151,20 @@ def random_range(rng, half):
     return rng.choice([range(start, stop, step), range(start, start + step, step)])
 
 
-@pytest.mark.parametrize("n", [16, 18, 26, 40, 62, 250, 2**21 - 2])
+@pytest.mark.parametrize("n", [16, 18, 26, 40, 62, 250])
 def test_from_indices_on_ranges_matches_the_lists(n):
+    # Ranges, empty, negative-step and out-of-range ones too, give the mask
+    # or the error of the same indices as lists; the extras follow a range
+    # in one iterable, so an error after the range names its offender.
     g = build_graph(4, n)
     half = g.half
     rng = random.Random(n)
     fixed = [range(0), range(5, 5), range(1, 2), range(half, half + 1), range(half, 0, -1),
              range(1, half + 1), range(half, -1, -1), range(0, half), range(1, half + 2, 5)]
-    sides = fixed + [random_range(rng, half) for _ in range(60 if n < 10**4 else 6)]
+    sides = fixed + [random_range(rng, half) for _ in range(60)]
     for us in sides:
         vs, extra = rng.choice(sides), rng.choice([(), (1,), (half, 2), (half + 1,)])
-        new = outcome(lambda: VertexSet.from_indices(g, us, vs, extra))
+        new = outcome(lambda: VertexSet.from_indices(g, us, chain(vs, extra)))
         old = outcome(lambda: VertexSet.from_indices(g, list(us), list(vs) + list(extra)))
         assert new == old, (us, vs, extra)
         assert outcome(lambda: VertexSet.from_indices(g, vs, us)) == outcome(

@@ -121,8 +121,8 @@ def test_construction_error_carries_witnesses():
 
 
 def per_index_construct(n):
-    # Reference: the index lists construct_dominating_set used to build, as
-    # lists, through from_indices's one-store-per-index path, then verified.
+    # Reference: construct_dominating_set's sets written out as index lists,
+    # set through from_indices one store per index, then verified.
     g = build_graph(4, n)
     if n in EXCEPTIONAL_ORDERS:
         u_indices, v_indices = map(list, EXCEPTIONAL_ORDERS[n])
@@ -141,7 +141,12 @@ def per_index_construct(n):
 
 
 def test_construct_matches_the_per_index_build():
-    for n in [*range(16, 2001, 2), *(10**6 + k for k in (0, 2, 4, 6, 8))]:
+    # construct's geometric-series masks against the index lists: every
+    # residue near 10**6 and at the order limit 2**21, and the lowest order
+    # of each certify-large benchmark band, 10000 + 2501 * r for residue r.
+    limit = range(2**21 - 8, 2**21 + 1, 2)
+    bands = (10_000, 15_002, 20_004, 25_006, 30_008)
+    for n in [*range(16, 2001, 2), *(10**6 + k for k in (0, 2, 4, 6, 8)), *limit, *bands]:
         assert construct_dominating_set(n).mask == per_index_construct(n).mask, n
 
 

@@ -88,7 +88,9 @@ def _strictly_increasing(value: object, key: str) -> list:
 def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
     try:
         with open(path) as f:
-            raw = f.read(_MAX_DOCUMENT + 1)
+            # Chunks of 2**20, one more than the limit holds: no limit-sized buffer.
+            chunks = iter(functools.partial(f.read, 2**20), "")
+            raw = "".join(itertools.islice(chunks, _MAX_DOCUMENT // 2**20 + 1))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     if len(raw) > _MAX_DOCUMENT:

@@ -147,5 +147,5 @@ def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
         chosen |= pick
         lost = und & g.closed_cover(pick)
         und ^= lost
-        top &= ~g.closed_cover(lost)
+        top ^= top & g.closed_cover(lost)
     return VertexSet(g, chosen)

@@ -44,7 +44,9 @@ The search is one loop over an explicit stack with a frame per open node,
 so its depth, about gamma picks, is bounded by memory and not by the
 interpreter's recursion limit.  _Search.run reports an early stop by its
 return value: True at the deadline, or at the first set found by a
-stop_on_first search.
+stop_on_first search.  The frames carry the counts of picks, u-side picks
+and undominated vertices, so no node recounts them, and each wide and-not
+x & ~y is written x ^ (x & y), which builds no full-width ~y.
 
 Symmetry: the index rotation i -> i+1 on both sides and the swap
 u_i <-> v_{-i} both keep (j - i) mod n/2 fixed for every pair u_i, v_j, so
@@ -58,8 +60,7 @@ starts with u_1 (slot 0) chosen, drops u_2 .. u_G from the pool and caps the
 u-side picks at floor((bound-1)/2), with bound the greedy incumbent's size;
 it applies the cut only when that cap is at least 1 and bound - 1 < h.  The
 bipartite test bounds its u-side share a by the cap less the u-picks so far,
-counted from picked & u_mask, picked being the mask of chosen slots that
-run carries, and a node at the cap drops its u-side candidates.  The cap is
+and a node at the cap drops its u-side candidates.  The cap is
 fixed at the root, not lowered with the bound, so whether a subtree reaches
 a set below its bound does not depend on that bound.
 
@@ -129,21 +130,22 @@ class SolveResult(_Record):
 def _pivot(und: int, planes: list[int]) -> int:
     """Bit of the lowest undominated slot with the fewest candidates, 0 when
     und is: from the top plane down, keep the slots whose bit is clear, if
-    any are."""
+    any are.  The and-not low & ~plane is written low ^ (low & plane)."""
     low = und
     for plane in reversed(planes):
-        if low & ~plane:
-            low &= ~plane
+        clear = low ^ (low & plane)
+        if clear:
+            low = clear
     return low & -low
 
 
 def _without(planes: list[int], mask: int) -> list[int]:
     """Bit planes of the counts less one for every slot in mask: a borrow
-    chain.  Every slot in mask must have a count of at least one."""
+    chain, its and-not an XOR.  Every slot in mask must count at least one."""
     child = []
     for plane in planes:
         child.append(plane ^ mask)
-        mask &= ~plane
+        mask ^= mask & plane
     return child
 
 
@@ -173,19 +175,20 @@ class _Search:
         self.next_check = 1024  # a threshold: closed children count in batches
 
     def branch_slots(
-        self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int
+        self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int,
+        k: int, ku: int, m: int,
     ):
-        """Undominated count and (new cover, -slot) candidates covering the
-        pivot, descending, ties to the lower slot; None if closed (pruned or
-        already dominated).  near is closed_cover(covered), picked the mask
-        of chosen slots and need the u-picks the gap rule still asks."""
+        """(new cover, -slot) candidates covering the pivot, descending, ties
+        to the lower slot; None if closed (pruned or already dominated).
+        near is closed_cover(covered), need the u-picks the gap rule still
+        asks, and k, ku and m the carried counts of picked (the chosen slots),
+        its u-side slots and the undominated vertices.  And-nots are XORs."""
         self.nodes += 1
-        und = self.full & ~covered
-        budget = self.bound - 1 - picked.bit_count()
-        m = und.bit_count()
+        und = self.full ^ covered
+        budget = self.bound - 1 - k
         uu = (und & self.u_mask).bit_count()
         uv = m - uu
-        ucap = self.u_cap - (picked & self.u_mask).bit_count()
+        ucap = self.u_cap - ku
         d1 = self.delta - 1
         if d1 > 0:
             # The u-side share a lies in [max(need, lower), hi]; need >= 0.
@@ -199,13 +202,13 @@ class _Search:
         # m fits the slack skips the closed_cover.
         slack = self.dd * budget - m
         if (2 * -(-m // d1) if d1 else m) > slack:
-            forced = und & ~self.closed_cover(pool & ~near)
+            forced = und ^ (und & self.closed_cover(pool ^ (pool & near)))
             f = forced.bit_count()
             if f > self.delta * slack:
                 return None
             if d1 and 2 * -(-f // d1) > slack:
-                one = pool & near & ~self.twice_covered(covered)
-                b = -(-(forced & ~self.closed_cover(one)).bit_count() // d1)
+                one = pool & (near ^ self.twice_covered(covered))  # twice lies in near
+                b = -(-(f - (forced & self.closed_cover(one)).bit_count()) // d1)
                 if 2 * b + max(0, -(-(f - d1 * b) // self.delta)) > slack:
                     return None
 
@@ -216,14 +219,14 @@ class _Search:
         members = []
         pm = cover[low.bit_length() - 1] & pool
         if not ucap:
-            pm &= ~self.u_mask
+            pm ^= pm & self.u_mask
         while pm:
             low = pm & -pm
             slot = low.bit_length() - 1
             members.append(((cover[slot] & und).bit_count(), -slot))
             pm ^= low
         members.sort(reverse=True)
-        return (m, members) if members else None
+        return members or None
 
     def run(
         self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int
@@ -233,21 +236,25 @@ class _Search:
         early: at the deadline, or at the first set found under stop_on_first.
 
         Each open node keeps a frame [covered, near, pool, planes, picked,
-        need, m, members, next child index]; its pool and planes lose each
-        child's slot as the child is entered, so later siblings skip it."""
+        need, k, ku, m, members, next child index], k, ku and m being the
+        counts of picked, its u-side slots and the undominated vertices, taken
+        here and carried; its pool and planes lose each child's slot as the
+        child is entered, so later siblings skip it."""
         cover, near_masks = self.cover, self.near
+        k, ku = picked.bit_count(), (picked & self.u_mask).bit_count()
+        m = (self.full ^ covered).bit_count()
         stack = []
         while True:
             if covered == self.full:
-                if picked.bit_count() < self.bound:
-                    self.bound = picked.bit_count()
+                if k < self.bound:
+                    self.bound = k
                     self.best = picked
                     if self.stop_on_first:
                         return True
             else:
-                node = self.branch_slots(covered, near, pool, planes, picked, need)
-                if node is not None:
-                    stack.append([covered, near, pool, planes, picked, need, *node, 0])
+                members = self.branch_slots(covered, near, pool, planes, picked, need, k, ku, m)
+                if members is not None:
+                    stack.append([covered, near, pool, planes, picked, need, k, ku, m, members, 0])
                 if self.nodes >= self.next_check and self.deadline is not None:
                     self.next_check = self.nodes + 1024
                     if time.monotonic() > self.deadline:
@@ -256,10 +263,10 @@ class _Search:
             # closes a child and all later ones (c == m is a leaf).
             while stack:
                 frame = stack[-1]
-                covered, near, pool, planes, picked, need, m, members, i = frame
+                covered, near, pool, planes, picked, need, k, ku, m, members, i = frame
                 if i < len(members):
                     c = members[i][0]
-                    if c == m or m - c <= (self.bound - picked.bit_count() - 2) * self.dd:
+                    if c == m or m - c <= (self.bound - k - 2) * self.dd:
                         break
                     self.nodes += len(members) - i
                 stack.pop()
@@ -268,12 +275,13 @@ class _Search:
             slot = -members[i][1]
             frame[2] = pool = pool ^ 1 << slot
             frame[3] = planes = _without(planes, cover[slot])
-            frame[8] = i + 1
+            frame[10] = i + 1
             if self.gap_rule and slot < self.half:
                 need = self._need(picked & self.u_mask, need, slot)
             covered |= cover[slot]
             near |= near_masks[slot]
             picked |= 1 << slot
+            k, ku, m = k + 1, ku + (slot < self.half), m - c
 
     def _need(self, u_picked: int, need: int, slot: int) -> int:
         """The gap rule's need once u-side slot joins the u-side mask

@@ -36,6 +36,16 @@ def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:
     return None
 
 
+def recount(search: _Search, covered: int, picked: int) -> tuple[int, int, int]:
+    """The counts _Search.run carries, taken afresh from the masks: the picks
+    so far, those on the u-side and the undominated vertices."""
+    return (
+        picked.bit_count(),
+        (picked & search.u_mask).bit_count(),
+        (search.full & ~covered).bit_count(),
+    )
+
+
 class RecursiveSearch(_Search):
     """The branch and bound as one recursive call per node, the form that
     _Search.run's explicit stack replaced; it returns True where that form
@@ -53,10 +63,11 @@ class RecursiveSearch(_Search):
                 if self.stop_on_first:
                     return True
             return False
-        node = self.branch_slots(covered, near, pool, planes, picked, need)
-        if node is None:
+        counts = recount(self, covered, picked)
+        members = self.branch_slots(covered, near, pool, planes, picked, need, *counts)
+        if members is None:
             return False
-        m, members = node
+        m = counts[2]
         cover = self.cover
         for i, (c, neg) in enumerate(members):
             # Counting closes this child and all later ones (c == m is a leaf).

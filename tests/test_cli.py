@@ -18,6 +18,8 @@
   degree 2 to 5 and filter 0 to 3, and on the benchmark's six sets.
 - enum-seq writes its lines while the census runs: its output is on stdout
   before a failing census stops, and its traced memory stays under 3 MB.
+- verify reads its document in bounded chunks, so on a small document its
+  traced memory stays under 2 MB.
 """
 
 import argparse
@@ -247,6 +249,20 @@ def test_verify_reads_no_more_than_the_document_limit(capsys, tmp_path):
     for path in paths:
         message = f"error: {path} is longer than the limit of {_MAX_DOCUMENT} characters\n"
         assert run(capsys, "verify", "--set", str(path)) == (2, "", message)
+
+
+def test_verify_reads_a_small_document_without_a_limit_sized_buffer(capsys, tmp_path):
+    # A single read sized to the limit asks for a 33.5 MB buffer whatever
+    # the document's size; verify's bounded chunks keep a small one small.
+    target = tmp_path / "d26.json"
+    target.write_text(_set_document(construct_dominating_set(26)))
+    tracemalloc.start()
+    try:
+        assert run(capsys, "verify", "--set", str(target)) == (0, "PASS\n", "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_sorted_check_copies_no_index_array():

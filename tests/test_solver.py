@@ -22,7 +22,9 @@
   from the empty root without the cut.
 - At every node of whole searches, the gap rule's need is checked against a
   recomputation from the carried mask of chosen slots, and its u-side picks
-  against the cap.
+  against the cap.  The counts the search carries instead of recounting
+  (picks, u-side picks, undominated vertices) are checked against their
+  recounts from the masks at every node of whole solves and canonical scans.
 - The search loop over an explicit stack is compared with the recursion it
   replaced, kept as RecursiveSearch in tests/oracles.py, on every valid
   graph with n <= 64, W(4, 16..312) and W(5, 32..72): value, certificate
@@ -63,7 +65,7 @@ from knodel.domination import _positions
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _least_image, _pivot, _Search
-from oracles import RecursiveSearch, brute_force_min
+from oracles import RecursiveSearch, brute_force_min, recount
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
@@ -174,8 +176,10 @@ def root_task_solve(g):
     pool = g.full_mask >> gap << gap
     cover, near = g.cover_masks, g.near_masks
     search = _Search(g, bound, greedy.mask, None, u_cap=u_cap)
-    root = search.branch_slots(cover[0], near[0], pool, g.cover_counts(pool), 1, 0)
-    for _, neg in root[1] if root else ():
+    root = search.branch_slots(
+        cover[0], near[0], pool, g.cover_counts(pool), 1, 0, *recount(search, cover[0], 1)
+    )
+    for _, neg in root or ():
         slot = -neg
         pool ^= 1 << slot
         search.run(
@@ -641,14 +645,15 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         if und:
             assert _pivot(und, planes) == 1 << scan_pivot(search, und, pool)
         expected = scan_branch_slots(search, covered, pool, picked, need)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, picked, need)
+        got = search.branch_slots(
+            covered, g.closed_cover(covered), pool, planes, picked, need,
+            *recount(search, covered, picked),
+        )
         if expected is None:
             assert got is None
         else:
-            m, members = got
-            assert m == und.bit_count()
-            assert [-neg for _, neg in members] == expected
-            assert [c for c, _ in members] == [
+            assert [-neg for _, neg in got] == expected
+            assert [c for c, _ in got] == [
                 (g.cover_masks[s] & und).bit_count() for s in expected
             ]
 
@@ -703,8 +708,11 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         picked = ((1 << size) - 1) << g.half  # v-side slots, so no u-picks
         search = _Search(g, size + 1 + budget, 0, None)
         planes = g.cover_counts(pool)
-        got = search.branch_slots(covered, g.closed_cover(covered), pool, planes, picked, 0)
-        assert (got and [-neg for _, neg in got[1]]) == scan_branch_slots(
+        got = search.branch_slots(
+            covered, g.closed_cover(covered), pool, planes, picked, 0,
+            *recount(search, covered, picked),
+        )
+        assert (got and [-neg for _, neg in got]) == scan_branch_slots(
             search, covered, pool, picked
         )
         if got is None and scan_branch_slots(search, covered, pool, picked, 0, 0) is not None:
@@ -718,26 +726,26 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
 
 
 class CheckedSearch(_Search):
-    """A search that checks every node's carried masks, its u-side cap and
-    gap-rule need, and its kernel against the reference."""
+    """A search that checks every node's carried masks and counts, its
+    u-side cap and gap-rule need, and its kernel against the reference."""
 
     def __init__(self, g, *args, **kwargs):
         super().__init__(g, *args, **kwargs)
         self.graph = g
 
-    def branch_slots(self, covered, near, pool, planes, picked, need):
+    def branch_slots(self, covered, near, pool, planes, picked, need, k, ku, m):
         # Called once for every node the search enters.
+        assert (k, ku, m) == recount(self, covered, picked)
         assert (picked & self.u_mask).bit_count() <= self.u_cap
         assert need == (gap_need(self.half, _positions(picked)) if self.u_cap < self.half else 0)
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)
         # Below solve_exact's root tasks (size 2), a child that the counting
         # bound closes is counted by its parent and never entered.
-        size, m, dd = picked.bit_count(), (self.full & ~covered).bit_count(), self.delta + 1
-        assert size <= 2 or size + -(-m // dd) < self.bound
+        assert k <= 2 or k + -(-m // self.dd) < self.bound
         expected = scan_branch_slots(self, covered, pool, picked, need)
-        got = super().branch_slots(covered, near, pool, planes, picked, need)
-        assert (got and [-neg for _, neg in got[1]]) == expected
+        got = super().branch_slots(covered, near, pool, planes, picked, need, k, ku, m)
+        assert (got and [-neg for _, neg in got]) == expected
         return got
 
 

@@ -736,7 +736,7 @@ class CheckedSearch(_Search):
     def branch_slots(self, covered, near, pool, planes, picked, need, k, ku, m):
         # Called once for every node the search enters.
         assert (k, ku, m) == recount(self, covered, picked)
-        assert (picked & self.u_mask).bit_count() <= self.u_cap
+        assert ku <= self.u_cap
         assert need == (gap_need(self.half, _positions(picked)) if self.u_cap < self.half else 0)
         assert planes == self.graph.cover_counts(pool)
         assert near == self.graph.closed_cover(covered)

@@ -118,7 +118,7 @@ def is_dominating(g: KnodelGraph, s: VertexSet) -> bool:
 
 def undominated(g: KnodelGraph, s: VertexSet) -> VertexSet:
     """All vertices left uncovered by s; empty exactly when s dominates."""
-    return VertexSet(g, g.full_mask & ~closed_neighborhood(g, s).mask)
+    return VertexSet(g, g.full_mask ^ closed_neighborhood(g, s).mask)
 
 
 def gamma_bounds(g: KnodelGraph) -> tuple[int, int]:

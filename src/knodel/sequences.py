@@ -59,7 +59,6 @@ __all__ = [
     "common_neighbor_predicate",
     "common_neighbors",
     "SequenceClass",
-    "canonical_rotation",
     "reconstruct_positions",
     "colliding_pairs",
     "enumerate_sequences",
@@ -165,14 +164,6 @@ class SequenceClass(_Record):
         self, canonical: CyclicSequence, parts_in_m: int, adjacent_sums_in_m: int
     ) -> None:
         self._set(canonical, parts_in_m, adjacent_sums_in_m)
-
-
-def canonical_rotation(seq: CyclicSequence) -> CyclicSequence:
-    """Lexicographically smallest rotation of seq; reversal is not applied."""
-    gaps = seq.gaps
-    k = len(gaps)
-    best = min(gaps[i:] + gaps[:i] for i in range(k))
-    return CyclicSequence(best, seq.half)
 
 
 def reconstruct_positions(seq: CyclicSequence) -> frozenset[Vertex]:

@@ -99,7 +99,7 @@ from __future__ import annotations
 import time
 
 from .domination import VertexSet, _positions, gamma_bounds, greedy_upper_bound
-from .graphs import KnodelGraph, _Record
+from .graphs import KnodelGraph, _Record, _check_int
 
 __all__ = ["SolveResult", "solve_exact", "canonical_certificate"]
 
@@ -370,6 +370,7 @@ def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:
     image dominates and has as many slots, so the rest of it is a
     completion too, and its lowest slot is as low as the orbit allows.
     """
+    _check_int("size", size)
     cover, near_masks = g.cover_masks, g.near_masks
     search = _Search(g, 0, 0, None, stop_on_first=True)
     picked = 1  # slot mask of the prefix

@@ -1,11 +1,14 @@
-"""Independent oracles the tests check the package against."""
+"""Independent oracles the tests check the package against, and the helpers
+that build their inputs: hypothesis graphs and fresh search nodes."""
 
 from __future__ import annotations
 
 import itertools
 import time
 
-from knodel import KnodelGraph, SolveResult, VertexSet
+from hypothesis import strategies as st
+
+from knodel import KnodelGraph, SolveResult, VertexSet, build_graph
 from knodel.domination import _slots_mask
 from knodel.solver import _Search, _without
 
@@ -43,6 +46,24 @@ def recount(search: _Search, covered: int, picked: int) -> tuple[int, int, int]:
         picked.bit_count(),
         (picked & search.u_mask).bit_count(),
         (search.full & ~covered).bit_count(),
+    )
+
+
+def fresh_node(g, search, covered, pool, picked, need=0):
+    """A search node with every carried value taken afresh: the arguments of
+    branch_slots in order, whose first six are those of run."""
+    return (
+        covered, g.closed_cover(covered), pool, g.cover_counts(pool), picked, need,
+        *recount(search, covered, picked),
+    )
+
+
+def small_graphs():
+    """Strategy drawing a valid W(delta, n) with delta in [2, 5], n <= 64."""
+    return st.integers(2, 5).flatmap(
+        lambda delta: st.integers(2 ** (delta - 1), 32).map(
+            lambda half: build_graph(delta, 2 * half)
+        )
     )
 
 

@@ -31,14 +31,7 @@ from knodel import (
 )
 from knodel.domination import _positions, _slots_mask
 from knodel.graphs import KnodelGraph
-
-
-def small_graphs():
-    return st.integers(2, 5).flatmap(
-        lambda delta: st.integers(2 ** (delta - 1), 32).map(
-            lambda half: build_graph(delta, 2 * half)
-        )
-    )
+from oracles import small_graphs
 
 
 def subsets_of(g):

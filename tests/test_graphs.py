@@ -19,15 +19,7 @@ from knodel import (
     u,
     v,
 )
-
-
-def small_graphs():
-    """Strategy drawing a valid W(delta, n) with delta in [2, 5], n <= 64."""
-    return st.integers(2, 5).flatmap(
-        lambda delta: st.integers(2 ** (delta - 1), 32).map(
-            lambda half: build_graph(delta, 2 * half)
-        )
-    )
+from oracles import small_graphs
 
 
 @pytest.mark.parametrize("delta,n", [(1, 2), (2, 4), (3, 8), (4, 16), (5, 32), (4, 46)])

@@ -26,7 +26,6 @@ from knodel import (
     CyclicSequence,
     SequenceClass,
     build_graph,
-    canonical_rotation,
     colliding_pairs,
     common_neighbors,
     cyclic_sequence,
@@ -103,22 +102,6 @@ def test_cyclic_sequence_accepts_lists_and_iterators_as_tuples():
         assert type(seq.gaps) is tuple and seq == CyclicSequence(gaps, 13)
 
 
-def test_canonical_rotation_known_values():
-    assert canonical_rotation(CyclicSequence((5, 5, 8, 1), 19)).gaps == (1, 5, 5, 8)
-    assert canonical_rotation(CyclicSequence((4, 4, 5), 13)).gaps == (4, 4, 5)
-    assert canonical_rotation(CyclicSequence((8, 1, 4, 5, 5), 23)).gaps == (1, 4, 5, 5, 8)
-
-
-@given(gap_tuples())
-def test_canonical_rotation_is_minimal_and_idempotent(gaps):
-    seq = CyclicSequence(gaps, sum(gaps))
-    canon = canonical_rotation(seq)
-    assert canon.gaps == min(rotations(gaps))
-    assert canonical_rotation(canon) == canon
-    assert canon.half == seq.half
-    assert sorted(canon.gaps) == sorted(gaps)
-
-
 def test_reconstruct_positions_known_values():
     assert reconstruct_positions(CyclicSequence((3, 5, 5), 13)) == {u(1), u(4), u(9)}
     assert reconstruct_positions(CyclicSequence((8, 1, 5, 5), 19)) == {
@@ -136,7 +119,8 @@ def test_reconstruct_round_trips_up_to_rotation(gaps):
     seq = CyclicSequence(gaps, half)
     g = build_graph(4, 2 * half)
     back = cyclic_sequence(g, reconstruct_positions(seq))
-    assert canonical_rotation(back) == canonical_rotation(seq)
+    assert back.half == seq.half
+    assert min(rotations(back.gaps)) == min(rotations(seq.gaps))
 
 
 def test_colliding_pairs_known_values():

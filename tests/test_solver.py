@@ -65,7 +65,7 @@ from knodel.domination import _positions
 from knodel.graphs import Side, Vertex, neighbors
 import knodel.solver
 from knodel.solver import _least_image, _pivot, _Search
-from oracles import RecursiveSearch, brute_force_min, recount
+from oracles import RecursiveSearch, brute_force_min, fresh_node, recount
 
 # All 135 valid (delta, n) pairs with n <= 64.
 VALID_UP_TO_64 = [
@@ -174,22 +174,14 @@ def root_task_solve(g):
         u_cap = g.half
     gap = -(-g.half // u_cap)
     pool = g.full_mask >> gap << gap
-    cover, near = g.cover_masks, g.near_masks
+    cover = g.cover_masks
     search = _Search(g, bound, greedy.mask, None, u_cap=u_cap)
-    root = search.branch_slots(
-        cover[0], near[0], pool, g.cover_counts(pool), 1, 0, *recount(search, cover[0], 1)
-    )
+    root = search.branch_slots(*fresh_node(g, search, cover[0], pool, 1))
     for _, neg in root or ():
         slot = -neg
         pool ^= 1 << slot
-        search.run(
-            cover[0] | cover[slot],
-            near[0] | near[slot],
-            pool,
-            g.cover_counts(pool),
-            1 | 1 << slot,
-            gap_need(g.half, (0, slot)) if u_cap < g.half else 0,
-        )
+        need = gap_need(g.half, (0, slot)) if u_cap < g.half else 0
+        search.run(*fresh_node(g, search, cover[0] | cover[slot], pool, 1 | 1 << slot, need)[:6])
     return search.bound, search.best, search.nodes
 
 
@@ -331,7 +323,7 @@ def scan_canonical(g, size):
         for slot in range(chosen[-1] + 1, g.n - remaining):
             trial, pool = covered | cover[slot], g.full_mask >> (slot + 1) << (slot + 1)
             search = _Search(g, remaining + 1, 0, None, stop_on_first=True)
-            if search.run(trial, g.closed_cover(trial), pool, g.cover_counts(pool), 0, 0):
+            if search.run(*fresh_node(g, search, trial, pool, 0)[:6]):
                 chosen.append(slot)
                 covered = trial
                 break
@@ -406,6 +398,14 @@ def test_canonical_certificate_rejects_impossible_size():
         for size in (gamma - 1, 1, 0):
             with pytest.raises(ValueError):
                 canonical_certificate(g, size)
+
+
+@pytest.mark.parametrize("delta,n,size", [(1, 2, True), (4, 16, 4.0), (4, 16, "4")])
+def test_canonical_certificate_checks_size_is_an_integer(delta, n, size):
+    # Checked as VertexSet and KnodelGraph check theirs: a bool would count
+    # as 1, so True gave {u_1} on W(1, 2), and a float or str failed in range.
+    with pytest.raises(ValueError, match=f"size must be an integer, got {size!r}"):
+        canonical_certificate(build_graph(delta, n), size)
 
 
 @pytest.mark.parametrize("delta,n", VALID_UP_TO_64)
@@ -491,7 +491,7 @@ def test_fixing_u1_keeps_the_plain_search_value():
         g = build_graph(delta, n)
         greedy = greedy_upper_bound(g)
         plain = _Search(g, len(greedy), greedy.mask, None)
-        plain.run(0, 0, g.full_mask, g.cover_counts(g.full_mask), 0, 0)
+        plain.run(*fresh_node(g, plain, 0, g.full_mask, 0)[:6])
         value = solve_exact(g).value
         if value != plain.bound:
             failures.append(f"W({delta}, {n}): fixed {value}, plain {plain.bound}")
@@ -637,7 +637,8 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         upicks = min(upicks, g.half)
         picked = (1 << upicks) - 1 | ((1 << min(size - upicks, g.half)) - 1) << g.half
         search = _Search(g, size + rng.randint(1, n), 0, None, u_cap=u_cap)
-        planes = g.cover_counts(pool)
+        node = fresh_node(g, search, covered, pool, picked, need)
+        planes = node[3]
         counts = [(c & pool).bit_count() for c in g.cover_masks]
         assert plane_counts(planes, n) == counts
 
@@ -645,10 +646,7 @@ def test_bit_plane_kernel_matches_pivot_scan(delta, n):
         if und:
             assert _pivot(und, planes) == 1 << scan_pivot(search, und, pool)
         expected = scan_branch_slots(search, covered, pool, picked, need)
-        got = search.branch_slots(
-            covered, g.closed_cover(covered), pool, planes, picked, need,
-            *recount(search, covered, picked),
-        )
+        got = search.branch_slots(*node)
         if expected is None:
             assert got is None
         else:
@@ -707,11 +705,7 @@ def test_forced_waste_never_closes_a_completable_node(delta, n):
         size = rng.randint(0, 2)
         picked = ((1 << size) - 1) << g.half  # v-side slots, so no u-picks
         search = _Search(g, size + 1 + budget, 0, None)
-        planes = g.cover_counts(pool)
-        got = search.branch_slots(
-            covered, g.closed_cover(covered), pool, planes, picked, 0,
-            *recount(search, covered, picked),
-        )
+        got = search.branch_slots(*fresh_node(g, search, covered, pool, picked))
         assert (got and [-neg for _, neg in got]) == scan_branch_slots(
             search, covered, pool, picked
         )

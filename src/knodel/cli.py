@@ -86,13 +86,10 @@ def _strictly_increasing(value: object, key: str) -> list:
 
 
 def _load_set_document(path: str) -> tuple[KnodelGraph, VertexSet]:
-    try:
-        with open(path) as f:
-            # Chunks of 2**20, one more than the limit holds: no limit-sized buffer.
-            chunks = iter(functools.partial(f.read, 2**20), "")
-            raw = "".join(itertools.islice(chunks, _MAX_DOCUMENT // 2**20 + 1))
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}")
+    with open(path) as f:
+        # Chunks of 2**20, one more than the limit holds: no limit-sized buffer.
+        chunks = iter(functools.partial(f.read, 2**20), "")
+        raw = "".join(itertools.islice(chunks, _MAX_DOCUMENT // 2**20 + 1))
     if len(raw) > _MAX_DOCUMENT:
         raise ValueError(f"{path} is longer than the limit of {_MAX_DOCUMENT} characters")
     try:

@@ -172,7 +172,6 @@ class _Search:
         self.deadline = deadline
         self.stop_on_first = stop_on_first
         self.nodes = 0
-        self.next_check = 1024  # a threshold: closed children count in batches
 
     def branch_slots(
         self, covered: int, near: int, pool: int, planes: list[int], picked: int, need: int,
@@ -255,10 +254,6 @@ class _Search:
                 members = self.branch_slots(covered, near, pool, planes, picked, need, k, ku, m)
                 if members is not None:
                     stack.append([covered, near, pool, planes, picked, need, k, ku, m, members, 0])
-                if self.nodes >= self.next_check and self.deadline is not None:
-                    self.next_check = self.nodes + 1024
-                    if time.monotonic() > self.deadline:
-                        return True
             # Step to the next child of the innermost open node.  Counting
             # closes a child and all later ones (c == m is a leaf).
             while stack:
@@ -272,6 +267,8 @@ class _Search:
                 stack.pop()
             else:
                 return False
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                return True
             slot = -members[i][1]
             frame[2] = pool = pool ^ 1 << slot
             frame[3] = planes = _without(planes, cover[slot])
@@ -311,15 +308,15 @@ class _Search:
 def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult:
     """Minimum dominating set of g, seeded with the greedy incumbent.
 
-    time_budget is a wall-clock limit in seconds; on expiry the result has
-    value None and carries the best bounds proved so far.  The search is
-    serial and deterministic: a repeated run returns the same certificate
-    and node count.
+    time_budget is a wall-clock limit in seconds, checked before each node
+    the search enters, so a search that finishes within it returns its
+    value; on expiry value is None and the bounds are the best proved.  A
+    repeated run returns the same certificate and node count.
     """
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time_budget must be None or >= 0, got {time_budget}")
     start = time.perf_counter()
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = None if time_budget is None else start + time_budget
     degree_lower, _ = gamma_bounds(g)
     best = greedy_upper_bound(g).mask
     bound = best.bit_count()

@@ -20,6 +20,9 @@
   before a failing census stops, and its traced memory stays under 3 MB.
 - verify reads its document in bounded chunks, so on a small document its
   traced memory stays under 2 MB.
+- A construction that fails verification, forced by a patched table entry,
+  makes construct exit 1 with one "error: " line and sweep mark its row.
+  Both module entry points, knodel and knodel.cli, run main under runpy.
 """
 
 import argparse
@@ -27,10 +30,12 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +191,8 @@ REJECTED_DOCUMENTS = {
         f"vertex index {10**30} out of range [1, 8]",
     '{"n": 16, "delta": 4, "u": [3, 7, 0, 12, 9], "v": []}': '"u" must be sorted and deduplicated',
     '{"n": 16, "delta": 4, "u": [0], "v": [true, 2]}': '"v" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": 5, "v": []}': '"u" must be an array of integers',
+    '{"n": 16, "delta": 4, "u": [], "v": {}}': '"v" must be an array of integers',
     # json.loads raises RecursionError on this, not JSONDecodeError.
     "[" * 100_000 + "]" * 100_000: "invalid JSON in {path}: maximum recursion depth exceeded "
         "while decoding a JSON array from a unicode string",
@@ -216,7 +223,14 @@ def test_verify_rejects_malformed_documents(capsys, tmp_path, doc, message):
 
 
 def test_verify_rejects_missing_file_and_graph_mismatch(capsys, tmp_path):
-    assert run(capsys, "verify", "--set", str(tmp_path / "absent.json"))[0] == 2
+    # An unreadable document is main's one OSError line, its path named once.
+    absent = tmp_path / "absent.json"
+    assert run(capsys, "verify", "--set", str(absent)) == (
+        2, "", f"error: [Errno 2] No such file or directory: {str(absent)!r}\n"
+    )
+    assert run(capsys, "verify", "--set", str(tmp_path)) == (
+        2, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    )
     target = tmp_path / "d16.json"
     assert run(capsys, "construct", "16", "--out", str(target))[0] == 0
     code, _, err = run(capsys, "verify", "--set", str(target), "--graph", "18", "4")
@@ -384,6 +398,18 @@ def test_sweep_writes_every_row_and_exits_1_on_a_disagreement(capsys, monkeypatc
     assert code == 1
     assert masked == ["n,formula,exact,agree,construct_ok", "16,4,4,true,true",
                       "18,5,4,false,true", "20,4,4,true,true"]
+
+
+def test_a_construction_that_fails_verification_exits_1(capsys, monkeypatch):
+    # A table entry one member short of W(4, 16)'s set u1 u2 v6 v7: construct
+    # prints the ConstructionError as one line, and sweep marks the row.
+    monkeypatch.setitem(knodel.gamma4.EXCEPTIONAL_ORDERS, 16, ((1,), (6, 7)))
+    with pytest.raises(knodel.ConstructionError) as info:
+        construct_dominating_set(16)
+    assert run(capsys, "construct", "16") == (1, "", f"error: {info.value}\n")
+    code, out, _ = run(capsys, "sweep", "--from", "16", "--to", "16", "--budget", "0")
+    assert code == 1
+    assert out.splitlines()[1].startswith("16,3,unknown,,false,")
 
 
 def test_enum_seq_output_and_expectation(capsys):
@@ -646,6 +672,18 @@ def test_usage_errors_exit_2_with_one_error_line(capsys, tmp_path):
         assert code == 2, argv
         assert out == "", argv
         assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("module", ["knodel", "knodel.cli"])
+def test_module_entry_points_exit_with_mains_code(capsys, monkeypatch, module):
+    # python -m knodel and python -m knodel.cli, run in this process.
+    monkeypatch.setattr(sys, "argv", ["knodel", "gamma", "17", "--method", "formula"])
+    with warnings.catch_warnings():  # knodel.cli is imported already
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module(module, run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

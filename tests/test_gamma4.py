@@ -1,7 +1,9 @@
 import tracemalloc
+import types
 
 import pytest
 
+import knodel.gamma4
 from knodel import (
     EXCEPTIONAL_ORDERS,
     ConstructionError,
@@ -118,6 +120,32 @@ def test_construction_error_carries_witnesses():
     assert err.n == 28
     assert [str(x) for x in err.witnesses] == ["u3"]
     assert "u3" in str(err)
+
+
+def test_construct_raises_with_the_undominated_vertices_in_slot_order(monkeypatch):
+    # A table entry one member short of W(4, 16)'s set u1 u2 v6 v7.
+    monkeypatch.setitem(knodel.gamma4.EXCEPTIONAL_ORDERS, 16, ((1,), (6, 7)))
+    g = build_graph(4, 16)
+    covered = g.closed_cover(VertexSet.from_indices(g, [1], [6, 7]).mask)
+    missed = tuple(g.vertex_at(s) for s in range(g.n) if not covered >> s & 1)
+    with pytest.raises(ConstructionError) as info:
+        construct_dominating_set(16)
+    assert (info.value.n, info.value.witnesses) == (16, missed)
+    assert missed and str(info.value).endswith(" ".join(map(str, missed)))
+
+
+@pytest.mark.parametrize("n", [16, 20, 22, 24, 26, 28, 1006, 1008])
+def test_construct_raises_when_the_size_is_not_the_formula(monkeypatch, n):
+    # A formula that reports one more: the set still dominates, so only the
+    # size check can refuse it.
+    value = gamma_formula(n).value
+    monkeypatch.setattr(
+        knodel.gamma4, "gamma_formula", lambda m: types.SimpleNamespace(value=value + 1)
+    )
+    with pytest.raises(ConstructionError) as info:
+        construct_dominating_set(n)
+    assert (info.value.n, info.value.witnesses) == (n, ())
+    assert str(info.value) == f"constructed set for n={n} has size {value}, expected {value + 1}"
 
 
 def per_index_construct(n):

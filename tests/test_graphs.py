@@ -61,6 +61,11 @@ def test_neighbors_rejects_out_of_range_vertices():
     for x in (u(0), u(9), v(0), v(9), u(-3), u(2.0), v(True)):
         with pytest.raises(ValueError):
             neighbors(g, x)
+    for x in ("u1", ("u", 1), 0, None):
+        with pytest.raises(ValueError, match=r"^not a vertex: "):
+            neighbors(g, x)
+        with pytest.raises(ValueError, match=r"^not a vertex: "):
+            g.slot(x)
 
 
 @pytest.mark.parametrize("index", [2.0, True, "2", None])
@@ -116,6 +121,8 @@ def test_neighbor_slots_follow_the_offset_rule_up_to_64():
             for slot in (-1, n):
                 with pytest.raises(ValueError):
                     g.neighbor_slots(slot)
+                with pytest.raises(ValueError, match=rf"^slot {slot} out of range \[0, {n}\)$"):
+                    g.vertex_at(slot)
 
 
 def _closed_mask(g, x):

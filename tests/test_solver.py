@@ -39,6 +39,11 @@
   at gamma is pinned (1,607; 1,620 before witnesses came from the orbit),
   all of them run on one search per call, and every node of its searches
   checks the carried bit planes and near masks.
+- The serial node count on W(4, n) follows an affine law per residue
+  n mod 10 (WORK_LAWS) at three orders each, and fails it exactly at the
+  orders listed.  A time budget is read before each child is entered, so
+  W(4, 36) and W(4, 38) stop at once under a tiny budget while W(4, 16)
+  and W(4, 40), which close at the root, stay exact.
 - The helper that picks a witness from the orbit is compared with all n
   label-level images of every minimum dominating set of the orbit test's
   eleven graphs, at every prefix length.  Every witness the scan adopts is
@@ -268,8 +273,7 @@ def test_time_budget_must_be_a_non_negative_number(budget):
 
 
 def test_exhausted_budget_reports_bounds_not_value():
-    # Both searches outlast the first deadline check, which has to fire
-    # although closed children are counted in batches.
+    # Both searches enter children, and the deadline is checked before each.
     for n in (88, 108):
         g = build_graph(4, n)
         result = solve_exact(g, time_budget=1e-9)
@@ -280,6 +284,24 @@ def test_exhausted_budget_reports_bounds_not_value():
         assert result.lower <= gamma_formula(n).value <= result.upper
         assert is_dominating(g, result.certificate)
         assert len(result.certificate) == result.upper
+
+
+@pytest.mark.parametrize("n", [36, 38])
+def test_budget_is_checked_before_the_first_child(n):
+    # Small trees (W(4, 38) has 451 nodes) stop before the root's first child.
+    g = build_graph(4, n)
+    result = solve_exact(g, time_budget=1e-9)
+    assert result.value is None
+    assert result.lower <= gamma_formula(n).value <= result.upper
+    assert is_dominating(g, result.certificate)
+    assert len(result.certificate) == result.upper
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_search_that_closes_at_the_root_is_exact_under_any_budget(n):
+    # The root enters no child, so the deadline is never read.
+    result = solve_exact(build_graph(4, n), time_budget=1e-9)
+    assert (result.value, result.nodes_explored) == (gamma_formula(n).value, 1)
 
 
 def lex_first(g, size):
@@ -523,6 +545,32 @@ def test_serial_node_counts_are_pinned(n, nodes):
     # of forced waste took 38 from 907, 88 from 1,751, 128 from 2,574, 198
     # from 3,890 and 508 from 9,718.
     assert solve_exact(build_graph(4, n)).nodes_explored == nodes
+
+
+# The serial nodes_explored on W(4, n) is affine in n within each residue
+# n mod 10: for (a, b, d), d * nodes == a * n + b.  On every even n in
+# 16..400 and at 1002, 1006 and 1008, each law fails exactly at the orders
+# listed last for it; three orders where it holds are checked, two of them
+# at least 118.  The residue-8 slope, 13 nodes per order, gauges the prunes.
+WORK_LAWS = {
+    0: ((0, 1, 1), (20, 120, 400), ()),
+    2: ((7, 16, 5), (42, 122, 392), (22, 32)),
+    4: ((0, 1, 1), (24, 124, 394), (34,)),
+    6: ((27, 178, 10), (76, 126, 396), tuple(range(16, 67, 10))),
+    8: ((13, 212, 1), (118, 398, 1008), tuple(range(18, 109, 10))),
+}
+
+
+@pytest.mark.parametrize("residue", sorted(WORK_LAWS))
+def test_work_laws_per_residue(residue):
+    (a, b, d), held, failed = WORK_LAWS[residue]
+
+    def fits(n):
+        assert n % 10 == residue
+        return d * solve_exact(build_graph(4, n)).nodes_explored == a * n + b
+
+    assert all(map(fits, held)), held
+    assert not any(map(fits, failed)), failed
 
 
 def scan_pivot(search, und, pool):

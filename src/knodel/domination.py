@@ -2,7 +2,7 @@
 
 A set D dominates W(delta, n) when every vertex is in D or adjacent to a
 member of D.  Vertex sets are bitmasks over graph slots, and the verifier is
-2 * delta cyclic shifts of their two halves (KnodelGraph.closed_cover), linear
+one chain of delta - 1 shift-ORs per half (KnodelGraph.closed_cover), linear
 in n; it is the single source of truth for every construction and certificate.
 Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 Masks convert to and from index and slot lists (_positions, _slots_mask)

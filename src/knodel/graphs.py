@@ -21,9 +21,9 @@ bi-circulant: cover_counts, the mask form of the rule, sums a set and its
 delta cyclic shifts per half into bit planes of neighbour counts for greedy
 and the solver, in time linear in n.  closed_cover, the union of those
 shifts, is the verifier's one call and the solver's forced-waste test, so it
-ORs the shifts in its own loop; twice_covered, the slots that two of the
-terms reach, serves that test's graded tier.  The solver's per-slot tables,
-cover_masks and near_masks (radius one and two), are built once per graph.
+ORs them in one Horner chain per half; twice_covered, the slots that two of
+the terms reach, serves that test's graded tier.  cover_masks and near_masks,
+the per-slot tables of radius one and two, are u_1's and v_1's rows rotated.
 _Record, the base of every record class, behaves as a frozen dataclass.
 """
 
@@ -214,18 +214,23 @@ class KnodelGraph(_Record):
     def closed_cover(self, mask: int) -> int:
         """Closed neighbourhood of a slot bitmask, as a slot bitmask.
 
-        The union of the terms cover_counts sums, with the rotations of each
-        doubled half ORed before the one mask and shift that place it.
+        The union of the terms cover_counts sums.  As 2**k - 1 = 1 + 2 + ...
+        + 2**(k-1), x | (x | (x | x >> 4) >> 2) >> 1 is x shifted by each
+        offset 0, 1, 3, 7: delta - 1 shift-ORs per half, on n/2 + top bits
+        (top the largest offset).  V's chain takes the steps in reverse, on
+        the u-half rotated up by top, so its shifts are top - offset.
         """
         half = self.half
+        top = self.offsets[-1]
         su = mask & self.u_mask
         sv = mask >> half
-        su2 = su << half | su
-        sv2 = sv << half | sv
-        to_u = to_v = 0
-        for off, back in self._shifts:
-            to_u |= sv2 >> off
-            to_v |= su2 >> back
+        to_u = sv2 = (sv & (1 << top) - 1) << half | sv
+        to_v = su2 = su << top | su >> (half - top)
+        down, up = 1 << self.delta >> 2, 1
+        while down:
+            to_u = sv2 | to_u >> down
+            to_v = su2 | to_v >> up
+            down, up = down >> 1, up << 1
         return mask | to_u & self.u_mask | (to_v & self.u_mask) << half
 
     def twice_covered(self, mask: int) -> int:
@@ -274,15 +279,26 @@ class KnodelGraph(_Record):
                 carry &= plane
         return planes
 
+    def _rotations(self, *rows: int) -> tuple[int, ...]:
+        """Each row rotated on both halves by 0..n/2 - 1, an automorphism."""
+        half, u_mask = self.half, self.u_mask
+        table = []
+        for row in rows:
+            ru, rv = row & u_mask, row >> half
+            ru2, rv2 = ru << half | ru, rv << half | rv
+            for back in range(half, 0, -1):
+                table.append(ru2 >> back & u_mask | (rv2 >> back & u_mask) << half)
+        return tuple(table)
+
     @cached_property
     def cover_masks(self) -> tuple[int, ...]:
         """Closed-neighbourhood bitmask for every slot, in slot order."""
-        return tuple(self.closed_cover(1 << s) for s in range(self.n))
+        return self._rotations(self.closed_cover(1), self.closed_cover(1 << self.half))
 
     @cached_property
     def near_masks(self) -> tuple[int, ...]:
         """Slots within distance two of every slot: closed_cover of its cover mask."""
-        return tuple(map(self.closed_cover, self.cover_masks))
+        return self._rotations(*map(self.closed_cover, self.cover_masks[:: self.half]))
 
 
 def build_graph(delta: int, n: int) -> KnodelGraph:

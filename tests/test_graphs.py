@@ -178,6 +178,39 @@ def test_twice_covered_and_closed_cover_count_closed_neighbours(delta, n):
         assert g.twice_covered(mask) == twice
 
 
+@pytest.mark.parametrize(
+    "delta,n",
+    [(delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)] + [(4, 1002), (7, 256)],
+)
+def test_cover_and_near_tables_are_closed_cover_per_slot(delta, n):
+    # The tables rotate the rows of u_1 and v_1; the reference is the per-slot
+    # build they replace.
+    g = build_graph(delta, n)
+    cover, near = g.cover_masks, g.near_masks
+    assert len(cover) == len(near) == n
+    for s in range(n):
+        assert cover[s] == g.closed_cover(1 << s)
+        assert near[s] == g.closed_cover(cover[s])
+
+
+@pytest.mark.parametrize("delta,n", [(4, 2**21 - 2), (4, 2**21), (21, 2**21)])
+def test_closed_cover_of_sparse_masks_at_the_order_limit(delta, n):
+    # W(21, 2**21)'s largest offset, 2**20 - 1, is half - 1.  Slots 0,
+    # half - 1, half and n - 1 are where the rotations wrap.  The reference
+    # is the union of each member and its neighbor_slots, set byte by byte.
+    g = build_graph(delta, n)
+    half = n // 2
+    rng = random.Random(n + delta)
+    for _ in range(3):
+        members = {0, half - 1, half, n - 1, *rng.sample(range(n), rng.randint(0, 64))}
+        flags = bytearray(-(-n // 8))
+        for s in members:
+            for t in (s, *g.neighbor_slots(s)):
+                flags[t >> 3] |= 1 << (t & 7)
+        mask = sum(1 << s for s in members)
+        assert g.closed_cover(mask) == int.from_bytes(flags, "little")
+
+
 @given(small_graphs(), st.data())
 def test_cover_counts_are_the_closed_neighbourhood_counts(g, data):
     # Bit x of plane i is bit i of |N[x] & mask|, for greedy and the solver.

@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 from functools import cached_property, total_ordering
 from operator import attrgetter
-from typing import Iterator
 
 __all__ = [
     "Side",
@@ -195,13 +194,6 @@ class KnodelGraph(_Record):
         if slot < half:
             return tuple(half + (slot + off) % half for off in self.offsets)
         return tuple((slot - off) % half for off in self.offsets)
-
-    def vertices(self) -> Iterator[Vertex]:
-        """All vertices in slot order."""
-        for i in range(1, self.half + 1):
-            yield Vertex(Side.U, i)
-        for j in range(1, self.half + 1):
-            yield Vertex(Side.V, j)
 
     @cached_property
     def full_mask(self) -> int:

@@ -107,20 +107,17 @@ __all__ = ["SolveResult", "solve_exact", "canonical_certificate"]
 class SolveResult(_Record):
     """Outcome of an exact search.
 
-    value is the domination number, or None when a time budget expired
-    before optimality was proved; lower and upper always bracket the true
-    value and certificate is a dominating set of size upper.
+    value, equal to lower, is the domination number and certificate a
+    dominating set of that size, unless the time budget expires: on expiry
+    value is None and lower <= gamma <= len(certificate).
     """
 
-    __slots__ = __match_args__ = (
-        "value", "lower", "upper", "certificate", "nodes_explored", "elapsed"
-    )
+    __slots__ = __match_args__ = ("value", "lower", "certificate", "nodes_explored")
 
     def __init__(
-        self, value: int | None, lower: int, upper: int, certificate: VertexSet,
-        nodes_explored: int, elapsed: float,
+        self, value: int | None, lower: int, certificate: VertexSet, nodes_explored: int
     ) -> None:
-        self._set(value, lower, upper, certificate, nodes_explored, elapsed)
+        self._set(value, lower, certificate, nodes_explored)
 
     @property
     def is_exact(self) -> bool:
@@ -310,13 +307,12 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
 
     time_budget is a wall-clock limit in seconds, checked before each node
     the search enters, so a search that finishes within it returns its
-    value; on expiry value is None and the bounds are the best proved.  A
-    repeated run returns the same certificate and node count.
+    value; on expiry value is None and lower <= gamma <= len(certificate).
+    A repeated run returns the same certificate and node count.
     """
     if time_budget is not None and not time_budget >= 0:
         raise ValueError(f"time_budget must be None or >= 0, got {time_budget}")
-    start = time.perf_counter()
-    deadline = None if time_budget is None else start + time_budget
+    deadline = None if time_budget is None else time.perf_counter() + time_budget
     degree_lower, _ = gamma_bounds(g)
     best = greedy_upper_bound(g).mask
     bound = best.bit_count()
@@ -334,10 +330,7 @@ def solve_exact(g: KnodelGraph, time_budget: float | None = None) -> SolveResult
         value, lower = None, degree_lower
     else:
         value = lower = search.bound
-
-    elapsed = time.perf_counter() - start
-    certificate = VertexSet(g, search.best)
-    return SolveResult(value, lower, search.bound, certificate, search.nodes, elapsed)
+    return SolveResult(value, lower, VertexSet(g, search.best), search.nodes)
 
 
 def canonical_certificate(g: KnodelGraph, size: int) -> VertexSet:

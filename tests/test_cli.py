@@ -571,7 +571,9 @@ def test_export_json_bytes_match_json_dumps_of_the_whole_object(capsys, tmp_path
     # export writes the object one vertex entry at a time; its bytes are
     # those of json.dumps on the whole dict, to stdout and to --out alike.
     g = build_graph(delta, n)
-    adjacency = {str(x): [str(y) for y in sorted(neighbors(g, x))] for x in g.vertices()}
+    adjacency = {
+        str(x): [str(y) for y in sorted(neighbors(g, x))] for x in map(g.vertex_at, range(g.n))
+    }
     expected = json.dumps({"n": n, "delta": delta, "adjacency": adjacency}, indent=2) + "\n"
     code, out, _ = run(capsys, "export", str(n), "--delta", str(delta), "--format", "json")
     assert (code, out) == (0, expected)

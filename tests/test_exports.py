@@ -1,8 +1,9 @@
 """Each library module's __all__ is the only list of its public names.
 
 knodel.__all__ is their union, pinned to 31 names, and the index calculus is
-defined in sequences.py only.  Every exported name has a caller: code in
-src/knodel/ reads it, or README.md names it.
+defined in sequences.py only.  Every exported name, and every public member of
+an exported class, has a caller: code in src/knodel/ reads it, or README.md
+names it in a code span or fenced block.
 """
 
 import ast
@@ -70,19 +71,53 @@ def test_package_public_names_are_pinned():
     assert sorted(knodel.__all__) == PUBLIC_NAMES
 
 
-def test_every_export_has_a_caller():
-    # A name counts where code uses it as a name or an attribute; its def, an
-    # import, an __all__ string or a docstring mention does not.
-    used = set()
+def _read_in_source():
+    """Names src/knodel/ loads, and attribute names it loads; a def, an
+    import, an assignment, an __all__ string or a docstring does not count."""
+    names, attrs = set(), set()
     for path in Path(knodel.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    named = set(re.findall(r"\w+", readme))
-    assert sorted(set(knodel.__all__) - used - named) == []
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _code_words(markdown):
+    """Words in the fenced blocks and inline code spans of markdown, not its prose."""
+    fence = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    code = fence.findall(markdown) + re.findall(r"`([^`]+)`", fence.sub("", markdown))
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
+def test_readme_names_count_only_in_code():
+    markdown = "prose `span_a` words\n\n```python\n>>> fenced_b.c\n```\n\nmore `span d`\n"
+    assert _code_words(markdown) == {"span_a", "fenced_b", "c", "span", "d"}
+
+
+def _public_members(cls):
+    """Record fields, and the public methods and properties that a knodel
+    class on cls's MRO defines; enum members are values, not members."""
+    members = set(getattr(cls, "__match_args__", ()))
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("knodel."):
+            members.update(
+                name for name in vars(klass)
+                if not name.startswith("_") and not isinstance(getattr(cls, name), cls)
+            )
+    return members
+
+
+def test_every_export_has_a_caller():
+    # A member counts for every class that has its name, so one that shares
+    # its name with an attribute code reads elsewhere (str.upper) passes here.
+    names, attrs = _read_in_source()
+    named = _code_words((Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8"))
+    unused = sorted(set(knodel.__all__) - names - attrs - named)
+    for cls in (obj for obj in map(knodel.__dict__.get, knodel.__all__) if isinstance(obj, type)):
+        unused += [f"{cls.__name__}.{m}" for m in sorted(_public_members(cls) - attrs - named)]
+    assert unused == []
 
 
 CALCULUS = [

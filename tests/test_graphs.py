@@ -92,7 +92,7 @@ def test_adjacency_is_regular_bipartite_and_symmetric_up_to_64():
     for n in range(2, 65, 2):
         for delta in range(1, int(math.log2(n)) + 1):
             g = build_graph(delta, n)
-            for x in g.vertices():
+            for x in map(g.vertex_at, range(g.n)):
                 ns = neighbors(g, x)
                 assert len(ns) == delta
                 assert all(y.side is not x.side for y in ns)
@@ -134,7 +134,7 @@ def test_closed_cover_of_each_slot_is_its_closed_neighborhood_up_to_64():
     for n in range(2, 65, 2):
         for delta in range(1, int(math.log2(n)) + 1):
             g = build_graph(delta, n)
-            for x in g.vertices():
+            for x in map(g.vertex_at, range(g.n)):
                 assert g.closed_cover(1 << g.slot(x)) == _closed_mask(g, x)
 
 
@@ -142,13 +142,13 @@ def test_closed_cover_of_each_slot_is_its_closed_neighborhood_up_to_64():
 def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
     mask = data.draw(st.integers(0, g.full_mask))
     expected = 0
-    for x in g.vertices():
+    for x in map(g.vertex_at, range(g.n)):
         if mask >> g.slot(x) & 1:
             expected |= _closed_mask(g, x)
     assert g.closed_cover(mask) == expected
     # The counts sum the rotations: x counts its closed neighbours in the mask.
     planes = g.cover_counts(mask)
-    for x in g.vertices():
+    for x in map(g.vertex_at, range(g.n)):
         hits = sum((plane >> g.slot(x) & 1) << i for i, plane in enumerate(planes))
         assert hits == (_closed_mask(g, x) & mask).bit_count()
 

@@ -54,9 +54,7 @@ TWINS = {
     GammaFormulaResult: twin(
         "GammaFormulaResult", ["n", "t", "residue", "addend", "value", "exceptional"]
     ),
-    SolveResult: twin(
-        "SolveResult", ["value", "lower", "upper", "certificate", "nodes_explored", "elapsed"]
-    ),
+    SolveResult: twin("SolveResult", ["value", "lower", "certificate", "nodes_explored"]),
     CyclicSequence: twin("CyclicSequence", ["gaps", "half"]),
     SequenceClass: twin("SequenceClass", ["canonical", "parts_in_m", "adjacent_sums_in_m"]),
 }
@@ -78,8 +76,8 @@ def samples():
         SolveResult: [
             solve_exact(G16),
             solve_exact(G18),
-            SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
-            SolveResult(None, 4, 5, VertexSet(G18, 0b11111), 7, 0.5),
+            SolveResult(None, 4, VertexSet(G18, 0b11111), 7),
+            SolveResult(None, 4, VertexSet(G18, 0b11111), 7),
         ],
         CyclicSequence: [
             CyclicSequence((1, 2, 3), 6),

@@ -136,16 +136,17 @@ def greedy_upper_bound(g: KnodelGraph) -> VertexSet:
     """
     # top holds the slots of the highest count.  Counts only fall, and a pick
     # lowers those of the slots meeting what it covers, so rebuild when top empties.
-    und, top, chosen = g.full_mask, 0, 0
+    full, cover_counts, closed_cover = g.full_mask, g.cover_counts, g.closed_cover
+    und, top, chosen = full, 0, 0
     while und:
         if not top:
-            top = g.full_mask
-            for plane in reversed(g.cover_counts(und)):
+            top = full
+            for plane in reversed(cover_counts(und)):
                 if top & plane:
                     top &= plane
         pick = top & -top
         chosen |= pick
-        lost = und & g.closed_cover(pick)
+        lost = und & closed_cover(pick)
         und ^= lost
-        top ^= top & g.closed_cover(lost)
+        top ^= top & closed_cover(lost)
     return VertexSet(g, chosen)

@@ -24,6 +24,12 @@ shifts, is the verifier's one call and the solver's forced-waste test, so it
 ORs them in one Horner chain per half; twice_covered, the slots that two of
 the terms reach, serves that test's graded tier.  cover_masks and near_masks,
 the per-slot tables of radius one and two, are u_1's and v_1's rows rotated.
+The shift kernels (closed_cover, twice_covered, cover_counts and
+neighbor_slots) read the graph's constants from one cached tuple,
+_constants, with one attribute load per call: once a cached_property has
+written into a graph's __dict__, each attribute load on the graph is a
+slower dictionary lookup (several times slower on CPython 3.11), and these
+kernels run at every search node.
 _Record, the base of every record class, behaves as a frozen dataclass.
 """
 
@@ -158,12 +164,6 @@ class KnodelGraph(_Record):
         """Adjacency offsets, _offsets(delta)."""
         return _offsets(self.delta)
 
-    @cached_property
-    def _shifts(self) -> tuple[tuple[int, int], ...]:
-        """(off, half - off) for each offset: the shifts that place the doubled
-        v-half on U and the doubled u-half on V."""
-        return tuple((off, self.half - off) for off in self.offsets)
-
     def check_vertex(self, x: Vertex) -> None:
         """Raise ValueError unless x is a vertex of this graph."""
         if not isinstance(x, Vertex):
@@ -188,12 +188,14 @@ class KnodelGraph(_Record):
 
     def neighbor_slots(self, slot: int) -> tuple[int, ...]:
         """Slots of the delta neighbours of a slot, in offset order."""
-        if not 0 <= slot < self.n:
+        half, _, _, _, shifts = self._constants
+        if not 0 <= slot < 2 * half:
             raise ValueError(f"slot {slot} out of range [0, {self.n})")
-        half = self.half
+        # tuple() of a list is faster than of a generator, and export calls
+        # this once per slot.
         if slot < half:
-            return tuple(half + (slot + off) % half for off in self.offsets)
-        return tuple((slot - off) % half for off in self.offsets)
+            return tuple([half + (slot + off) % half for off, _ in shifts])
+        return tuple([(slot - off) % half for off, _ in shifts])
 
     @cached_property
     def full_mask(self) -> int:
@@ -202,6 +204,17 @@ class KnodelGraph(_Record):
     @cached_property
     def u_mask(self) -> int:
         return (1 << self.half) - 1
+
+    @cached_property
+    def _constants(self) -> tuple:
+        """(half, u_mask, top, steps, shifts) for the shift kernels: top is
+        the largest offset, steps closed_cover's (down, up) shift pairs and
+        shifts the (off, half - off) pairs that place the doubled v-half on U
+        and the doubled u-half on V."""
+        half, delta = self.half, self.delta
+        steps = tuple((1 << delta - 2 - k, 1 << k) for k in range(delta - 1))
+        shifts = tuple((off, half - off) for off in self.offsets)
+        return half, self.u_mask, self.offsets[-1], steps, shifts
 
     def closed_cover(self, mask: int) -> int:
         """Closed neighbourhood of a slot bitmask, as a slot bitmask.
@@ -212,18 +225,15 @@ class KnodelGraph(_Record):
         (top the largest offset).  V's chain takes the steps in reverse, on
         the u-half rotated up by top, so its shifts are top - offset.
         """
-        half = self.half
-        top = self.offsets[-1]
-        su = mask & self.u_mask
+        half, u_mask, top, steps, _ = self._constants
+        su = mask & u_mask
         sv = mask >> half
         to_u = sv2 = (sv & (1 << top) - 1) << half | sv
         to_v = su2 = su << top | su >> (half - top)
-        down, up = 1 << self.delta >> 2, 1
-        while down:
+        for down, up in steps:
             to_u = sv2 | to_u >> down
             to_v = su2 | to_v >> up
-            down, up = down >> 1, up << 1
-        return mask | to_u & self.u_mask | (to_v & self.u_mask) << half
+        return mask | to_u & u_mask | (to_v & u_mask) << half
 
     def twice_covered(self, mask: int) -> int:
         """Slots whose closed neighbourhood meets a slot bitmask at least twice.
@@ -231,20 +241,20 @@ class KnodelGraph(_Record):
         One pass over closed_cover's shifts, keeping per half the slots that
         the terms so far meet once and twice.
         """
-        half = self.half
-        once_u = mask & self.u_mask
+        half, u_mask, _, _, shifts = self._constants
+        once_u = mask & u_mask
         once_v = mask >> half
         su2 = once_u << half | once_u
         sv2 = once_v << half | once_v
         twice_u = twice_v = 0
-        for off, back in self._shifts:
+        for off, back in shifts:
             term = sv2 >> off
             twice_u |= once_u & term
             once_u |= term
             term = su2 >> back
             twice_v |= once_v & term
             once_v |= term
-        return twice_u & self.u_mask | (twice_v & self.u_mask) << half
+        return twice_u & u_mask | (twice_v & u_mask) << half
 
     def cover_counts(self, mask: int) -> list[int]:
         """Bit x of planes[i] is bit i of |N[x] & mask|.
@@ -255,16 +265,15 @@ class KnodelGraph(_Record):
         rotation is one shift.  Offsets are distinct and below n/2, so
         vertex x lies in exactly |N[x] & mask| of the terms.
         """
-        half = self.half
-        u_mask = self.u_mask
+        half, u_mask, _, _, shifts = self._constants
         su = mask & u_mask
         sv = mask >> half
         su2 = su << half | su
         sv2 = sv << half | sv
         terms = [mask]
-        for off, back in self._shifts:
+        for off, back in shifts:
             terms.append(sv2 >> off & u_mask | (su2 >> back & u_mask) << half)
-        planes = [0] * (self.delta + 1).bit_length()
+        planes = [0] * len(terms).bit_length()
         for carry in terms:
             for i, plane in enumerate(planes):
                 planes[i] = plane ^ carry

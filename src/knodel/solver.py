@@ -180,15 +180,20 @@ class _Search:
         asks, and k, ku and m the carried counts of picked (the chosen slots),
         its u-side slots and the undominated vertices.  And-nots are XORs."""
         self.nodes += 1
+        u_mask, delta = self.u_mask, self.delta
         und = self.full ^ covered
         budget = self.bound - 1 - k
-        uu = (und & self.u_mask).bit_count()
+        uu = (und & u_mask).bit_count()
         uv = m - uu
         ucap = self.u_cap - ku
-        d1 = self.delta - 1
+        d1 = delta - 1
         if d1 > 0:
             # The u-side share a lies in [max(need, lower), hi]; need >= 0.
-            hi = min(budget, ucap, (self.delta * budget - uu) // d1)
+            hi = (delta * budget - uu) // d1
+            if budget < hi:
+                hi = budget
+            if ucap < hi:
+                hi = ucap
             if hi < need or -(-(uv - budget) // d1) > hi:
                 return None
         elif uu > budget or uv > budget or need > min(budget, ucap):
@@ -200,12 +205,12 @@ class _Search:
         if (2 * -(-m // d1) if d1 else m) > slack:
             forced = und ^ (und & self.closed_cover(pool ^ (pool & near)))
             f = forced.bit_count()
-            if f > self.delta * slack:
+            if f > delta * slack:
                 return None
             if d1 and 2 * -(-f // d1) > slack:
                 one = pool & (near ^ self.twice_covered(covered))  # twice lies in near
                 b = -(-(f - (forced & self.closed_cover(one)).bit_count()) // d1)
-                if 2 * b + max(0, -(-(f - d1 * b) // self.delta)) > slack:
+                if 2 * b + max(0, -(-(f - d1 * b) // delta)) > slack:
                     return None
 
         low = _pivot(und, planes)
@@ -215,7 +220,7 @@ class _Search:
         members = []
         pm = cover[low.bit_length() - 1] & pool
         if not ucap:
-            pm ^= pm & self.u_mask
+            pm ^= pm & u_mask
         while pm:
             low = pm & -pm
             slot = low.bit_length() - 1

@@ -154,12 +154,16 @@ def test_closed_cover_of_a_set_is_the_union_of_its_members(g, data):
 
 
 @pytest.mark.parametrize(
-    "delta,n", [(delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)]
+    "delta,n",
+    [(delta, n) for delta in range(1, 7) for n in range(2**delta, 65, 2)]
+    + [(delta, n) for delta in range(7, 11) for n in (2**delta, 2**delta + 2)],
 )
 def test_twice_covered_and_closed_cover_count_closed_neighbours(delta, n):
-    # Random masks from dense to sparse on every valid graph with n <= 64:
-    # slot y is in closed_cover when |N[y] & mask| >= 1 and in twice_covered
-    # when it is >= 2, the count built from neighbor_slots.
+    # Random masks from dense to sparse on every valid graph with n <= 64,
+    # and for delta 7..10 at n = 2**delta, where the largest offset is
+    # n/2 - 1 and the chains are longest, and at 2**delta + 2: slot y is in
+    # closed_cover when |N[y] & mask| >= 1 and in twice_covered when it is
+    # >= 2, the count built from neighbor_slots.
     g = build_graph(delta, n)
     rng = random.Random(n * 10 + delta)
     masks = [0, g.full_mask, g.u_mask, g.full_mask ^ g.u_mask]

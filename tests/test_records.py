@@ -181,8 +181,14 @@ def test_pickle_and_copy_round_trip(cls, samples):
 
 
 def test_a_copied_graph_rebuilds_its_cached_tables():
-    assert "cover_masks" in vars(FILLED)
+    assert {"cover_masks", "_constants"} <= vars(FILLED).keys()
+    # W(4, 30): half, u_mask, top, closed_cover's (down, up) steps and the
+    # (off, half - off) shifts.
+    steps, shifts = ((4, 1), (2, 2), (1, 4)), ((0, 15), (1, 14), (3, 12), (7, 8))
+    assert FILLED._constants == (15, 2**15 - 1, 7, steps, shifts)
     for clone in (pickle.loads(pickle.dumps(FILLED)), copy.deepcopy(FILLED)):
+        assert "_constants" not in vars(clone)
+        assert clone._constants == FILLED._constants
         assert clone.cover_masks == FILLED.cover_masks
         assert clone.near_masks == FILLED.near_masks
 

@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import sys
 import time
 from typing import Iterable, Iterator
@@ -73,13 +72,17 @@ def _set_document(ds: VertexSet) -> str:
 
 def _strictly_increasing(value: object, key: str) -> list:
     # JSON gives int, bool, float, str, None, list or dict members.  Members
-    # that do not compare fail here; VertexSet.from_indices refuses the rest
-    # of what is not an int, in the one scan of their types.
+    # that do not compare with their neighbour fail here, in one loop over
+    # the array; VertexSet.from_indices refuses the rest of what is not an int.
     if not isinstance(value, list):
         raise ValueError(f'"{key}" must be an array of integers')
+    rest = iter(value)
+    last = next(rest, None)
     try:
-        if not all(map(operator.lt, value, itertools.islice(value, 1, None))):
-            raise ValueError(f'"{key}" must be sorted and deduplicated')
+        for i in rest:
+            if not last < i:
+                raise ValueError(f'"{key}" must be sorted and deduplicated')
+            last = i
     except TypeError:
         raise ValueError(f'"{key}" must be an array of integers') from None
     return value
@@ -254,15 +257,18 @@ def _dot_lines(g: KnodelGraph) -> Iterator[str]:
 def _adjacency_lines(g: KnodelGraph) -> Iterator[str]:
     """The object {"n": ..., "delta": ..., "adjacency": {...}} as json.dumps
     writes it with indent=2, one vertex entry at a time.  Neighbours ascend
-    by slot, which is their label order, and labels need no escaping."""
-    half = g.half
+    by slot, which is their label order, and labels need no escaping.  A
+    vertex's neighbours all lie on the other side, so its entry writes that
+    side's prefix once per label through the join's separator."""
+    half, last, neighbor_slots = g.half, g.n - 1, g.neighbor_slots
     yield f'{{\n  "n": {g.n},\n  "delta": {g.delta},\n  "adjacency": {{'
-    for s in range(g.n):
-        ends = sorted(g.neighbor_slots(s))
-        items = '",\n      "'.join(f"u{t + 1}" if t < half else f"v{t - half + 1}" for t in ends)
-        label = f"u{s + 1}" if s < half else f"v{s - half + 1}"
-        comma = "," if s < g.n - 1 else ""
-        yield f'    "{label}": [\n      "{items}"\n    ]{comma}'
+    for side, other, first in ("u", "v", 0), ("v", "u", half):
+        sep = f'",\n      "{other}'
+        drop = half - 1 - first  # slot t of the other side is index t - drop
+        for s in range(first, first + half):
+            items = sep.join([str(t - drop) for t in sorted(neighbor_slots(s))])
+            comma = "," if s < last else ""
+            yield f'    "{side}{s - first + 1}": [\n      "{other}{items}"\n    ]{comma}'
     yield "  }\n}"
 
 

@@ -6,14 +6,14 @@ one chain of delta - 1 shift-ORs per half (KnodelGraph.closed_cover), linear
 in n; it is the single source of truth for every construction and certificate.
 Greedy, like the solver, reads new cover from KnodelGraph.cover_counts.
 Masks convert to and from index and slot lists (_positions, _slots_mask)
-through bin(), bytes.translate and itertools, linear in n with no Python
-loop per bit or index.
+through bin() and bytes.translate, linear in n: a Python loop runs once per
+index stored and once per set bit of a sparse mask, never per bit of a
+dense one.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import compress, repeat
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .graphs import KnodelGraph, Vertex, _check_int, _Record
@@ -35,16 +35,51 @@ _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 def _positions(mask: int, base: int = 0) -> list[int]:
     """Ascending positions of the set bits of mask, numbered from base."""
-    flags = bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
+    digits = bin(mask)[:1:-1]
+    if mask.bit_count() * 8 < len(digits):
+        # Sparse: find skips the zeros in C, where compress draws an int per bit.
+        found = []
+        i = digits.find("1")
+        while i >= 0:
+            found.append(base + i)
+            i = digits.find("1", i + 1)
+        return found
+    flags = digits.encode().translate(_TO_FLAGS)
     return list(compress(range(base, base + len(flags)), flags))
+
+
+def _flags_mask(flags: bytearray, base: int) -> int:
+    """Bitmask with bit s - base set where flags[s] is 1, s >= base; drops flags[:base]."""
+    del flags[:base]
+    return int(flags[::-1].translate(_TO_DIGITS), 2)
 
 
 def _slots_mask(n: int, slots: Iterable[int], base: int = 0) -> int:
     """Bitmask over n slots, one store per s in slots: bit s - base, s in [base, base + n)."""
     flags = bytearray(base + n)
-    deque(map(flags.__setitem__, slots, repeat(1)), maxlen=0)
-    del flags[:base]
-    return int(flags[::-1].translate(_TO_DIGITS), 2)
+    for s in slots:
+        flags[s] = 1
+    return _flags_mask(flags, base)
+
+
+def _side_mask(half: int, side: list) -> int:
+    """Bitmask of one side's indices, bit i - 1 for index i, in one loop that
+    checks and stores each index.  At the first member that is not an int in
+    [1, half] the side is checked whole: the first member that is not an int
+    (bools included), else the first index out of range, raises ValueError;
+    a side of int subclasses in range is stored by _slots_mask."""
+    flags = bytearray(half + 1)
+    for i in side:
+        if i.__class__ is int and 0 < i <= half:
+            flags[i] = 1
+        else:
+            for j in side:
+                _check_int("vertex index", j)
+            bad = next((j for j in side if not 1 <= j <= half), None)
+            if bad is not None:
+                raise ValueError(f"vertex index {bad} out of range [1, {half}]")
+            return _slots_mask(half, side, base=1)
+    return _flags_mask(flags, 1)
 
 
 class VertexSet(_Record):
@@ -64,20 +99,13 @@ class VertexSet(_Record):
     ) -> "VertexSet":
         """Set {u_i : i in u_indices} | {v_j : j in v_indices}.
 
-        Each side, any iterable, is read into a list, checked by one scan of
-        its types (an int, not a bool) and one min/max, then set per index.
+        Each side, any iterable, is read into a list and stored by
+        _side_mask; a ValueError names the u-side's first offender before
+        the v-side's.
         """
         half = graph.half
-        us, vs = sides = list(u_indices), list(v_indices)
-        for side in filter(None, sides):
-            if not {int}.issuperset(map(type, side)):
-                for i in side:
-                    _check_int("vertex index", i)
-            if not 1 <= min(side) <= max(side) <= half:
-                bad = next(i for i in side if not 1 <= i <= half)
-                raise ValueError(f"vertex index {bad} out of range [1, {half}]")
-        mask = _slots_mask(half, us, base=1) | _slots_mask(half, vs, base=1) << half
-        return cls(graph, mask)
+        us, vs = list(u_indices), list(v_indices)
+        return cls(graph, _side_mask(half, us) | _side_mask(half, vs) << half)
 
     def __len__(self) -> int:
         return self.mask.bit_count()

@@ -222,6 +222,32 @@ def test_verify_rejects_malformed_documents(capsys, tmp_path, doc, message):
     assert err == f"error: {message.format(path=target)}\n"
 
 
+# Index arrays and the stderr line verify prints when one stands on a side
+# ({key}) and [9], out of range for W(4, 16), on the other.
+ARRAY_ERRORS = [
+    ("[null, 1]", '"{key}" must be an array of integers'),
+    ("[1, null]", '"{key}" must be an array of integers'),
+    ('["a", "b"]', '"{key}" must be an array of integers'),
+    ("[1, 1]", '"{key}" must be sorted and deduplicated'),
+    ("[2, 1]", '"{key}" must be sorted and deduplicated'),
+    ("[1, 3, 2]", '"{key}" must be sorted and deduplicated'),
+    ("[]", "vertex index 9 out of range [1, 8]"),
+    ("[7]", "vertex index 9 out of range [1, 8]"),
+]
+
+
+@pytest.mark.parametrize("key", ["u", "v"])
+@pytest.mark.parametrize("array, message", ARRAY_ERRORS)
+def test_verify_names_the_fault_of_an_index_array(capsys, tmp_path, key, array, message):
+    # An array's own fault is named before the other side's range error,
+    # whichever side it stands on; an array without one lets that error through.
+    other = "v" if key == "u" else "u"
+    target = tmp_path / "doc.json"
+    target.write_text(f'{{"n": 16, "delta": 4, "{key}": {array}, "{other}": [9]}}')
+    expected = (2, "", f"error: {message.format(key=key)}\n")
+    assert run(capsys, "verify", "--set", str(target)) == expected
+
+
 def test_verify_rejects_missing_file_and_graph_mismatch(capsys, tmp_path):
     # An unreadable document is main's one OSError line, its path named once.
     absent = tmp_path / "absent.json"

@@ -1,14 +1,16 @@
 """Vertex sets, the verifier, the bounds and greedy.
 
-- The mask conversions are compared with per-bit references, and
-  from_indices on ranges and other iterables with from_indices on the same
-  indices as lists.
+- The mask conversions are compared with per-bit references, _positions on
+  both sides of its sparse threshold, and from_indices with its multi-pass
+  form, on mixed valid and invalid members, and on ranges and other
+  iterables against the same indices as lists.
 - Greedy is compared with the simple code it replaced, a greedy that
   rescans every cover mask for each pick, on every valid graph of degrees
   1 to 7 with n <= 128.  On degrees 1 to 6, every pick is checked to cover
   a new vertex.
 """
 
+import enum
 import random
 from itertools import chain
 
@@ -30,7 +32,7 @@ from knodel import (
     v,
 )
 from knodel.domination import _positions, _slots_mask
-from knodel.graphs import KnodelGraph
+from knodel.graphs import KnodelGraph, _check_int
 from oracles import small_graphs
 
 
@@ -103,6 +105,23 @@ def test_positions_and_slots_mask_match_the_per_bit_references(n):
         assert _slots_mask(n, [base + n - 1], base=base) == 1 << (n - 1)
 
 
+@pytest.mark.parametrize("n", [64, 15039, 2**21 - 2])
+def test_positions_match_the_reference_on_both_sides_of_the_sparse_threshold(n):
+    # Below one set bit in eight _positions finds each bit in the digits;
+    # from there on it compresses every bit.  The top bit fixes the length.
+    rng = random.Random(n)
+    sparse = dense = 0
+    for count in (1, 2, n // 64, n // 8 - 1, n // 8, n // 8 + 1, n // 5):
+        mask = per_slot_mask(n, rng.sample(range(n - 1), count - 1) + [n - 1])
+        if mask.bit_count() * 8 < n:
+            sparse += 1
+        else:
+            dense += 1
+        for base in (0, 1):
+            assert _positions(mask, base) == per_bit_positions(mask, base)
+    assert sparse >= 3 and dense >= 2
+
+
 def test_from_indices_names_the_first_offender_in_input_order():
     g = build_graph(4, 16)
     # The offender 9 is neither the minimum (0, later) nor the maximum (12, later).
@@ -135,6 +154,55 @@ def outcome(build):
         return build().mask
     except ValueError as exc:
         return str(exc)
+
+
+def multi_pass_from_indices(g, u_indices=(), v_indices=()):
+    # Reference: from_indices before its single loop, which read each side
+    # in a scan of its types, a min/max and then one store per index.
+    half = g.half
+    us, vs = sides = list(u_indices), list(v_indices)
+    for side in filter(None, sides):
+        if not {int}.issuperset(map(type, side)):
+            for i in side:
+                _check_int("vertex index", i)
+        if not 1 <= min(side) <= max(side) <= half:
+            bad = next(i for i in side if not 1 <= i <= half)
+            raise ValueError(f"vertex index {bad} out of range [1, {half}]")
+    return VertexSet(g, _slots_mask(half, us, base=1) | _slots_mask(half, vs, base=1) << half)
+
+
+class Index(enum.IntEnum):
+    # An int subclass that _check_int accepts, in range on every graph with half >= 3.
+    THREE = 3
+
+
+def mixed_sides(g):
+    # Mostly valid indices, duplicates likely, with every kind of offender:
+    # 0, negatives, half + 1, a huge int, bools, floats, None, a string, and
+    # an IntEnum member that is in range or not.  Each side is a list or is
+    # passed as an iterator over one.
+    offenders = [0, -1, -7, g.half + 1, 10**30, True, False, 1.0, 2.5, None, "1", Index.THREE]
+    member = st.one_of(st.integers(1, g.half), st.integers(1, g.half), st.sampled_from(offenders))
+    side = st.lists(member, max_size=12)
+    return st.tuples(side, st.booleans(), side, st.booleans())
+
+
+@given(small_graphs(), st.data())
+def test_from_indices_matches_the_multi_pass_reference(g, data):
+    us, u_iter, vs, v_iter = data.draw(mixed_sides(g))
+
+    def sides():
+        return (iter(us) if u_iter else us), (iter(vs) if v_iter else vs)
+
+    new = outcome(lambda: VertexSet.from_indices(g, *sides()))
+    assert new == outcome(lambda: multi_pass_from_indices(g, *sides()))
+
+
+def test_from_indices_stores_int_subclasses_in_range():
+    g = build_graph(4, 16)
+    for side in ([Index.THREE], [1, Index.THREE, 8], [Index.THREE, 2, Index.THREE]):
+        assert VertexSet.from_indices(g, side, side) == multi_pass_from_indices(g, side, side)
+    assert VertexSet.from_indices(g, [1, Index.THREE]).u_indices == (1, 3)
 
 
 def random_range(rng, half):

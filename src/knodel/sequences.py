@@ -34,11 +34,12 @@ the length of the prefix's longest Lyndon prefix, the next gap is at least
 the one p places back, and a full sequence is its least rotation iff p
 divides k.  A prefix is dropped once its gaps or adjacent sums in m_delta
 pass their limits, or its gaps in m_delta can no longer reach the exact
-count.  The last gap is forced, so a prefix of k - 2 gaps reads the
-candidates for its second-to-last gap from a per-census table: those in
-range that reach the exact count.  The table keeps lists only for ranges of
-at most 64 gaps, under at most 4,096 keys; a longer range is filtered as it
-is walked, so memory stays flat.
+count.  k <= 2 is a closed form; above it the stack holds prefixes of at
+most k - 3 gaps.  The last gap is forced, so each child of k - 2 gaps that
+a prefix of k - 3 accepts yields its classes at once, reading the candidates
+for its second-to-last gap from a per-census table: those in range that
+reach the exact count.  The table keeps lists only for ranges of at most 64
+gaps, under at most 4,096 keys; a longer range is filtered as it is walked.
 """
 
 from __future__ import annotations
@@ -205,14 +206,18 @@ def _least_rotations(
         if (total in m) == exact:
             yield (total,), 0
         return
+    if k == 2:  # (g, total - g) is a least rotation for each g <= total // 2
+        if (total in m) <= sums_max:
+            for g in range(1, total // 2 + 1):
+                if (g in m) + (total - g in m) == exact:
+                    yield (g, total - g), int(total in m)
+        return
     last = k - 1
-    # (remaining, lo, hi, need) -> the gaps in [lo, hi] that, with end =
-    # remaining - gap, put exactly need more gaps in m.
+    # (rest, lo, hi, need) -> the gaps g in [lo, hi] with exactly need of g, rest - g in m.
     table: dict[tuple[int, int, int, int], list[int]] = {}
-    # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent
-    # sums in m, p); p is the length of the prefix's longest Lyndon prefix.
-    # Children are pushed in descending order, so prefixes come off the stack
-    # in lexicographic order.
+    # Depth first over prenecklaces (prefix, remaining, gaps in m, adjacent sums in
+    # m, p) of at most k - 3 gaps, p the length of the longest Lyndon prefix;
+    # children are pushed in descending order, so come off in lexicographic order.
     stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), total, 0, 0, 1)]
     while stack:
         t, remaining, in_m, sums_in_m, p = stack.pop()
@@ -224,42 +229,46 @@ def _least_rotations(
         else:
             # prev = -total: the first gap has no adjacent sum before it.
             lo, hi, prev = 1, total // k, -total
-        if depth < last - 1:
-            short = exact - (last - depth)
-            for gap in range(hi, lo - 1, -1):
-                count = in_m + (gap in m)
-                if count > exact or count < short:
-                    continue
-                sums = sums_in_m + (prev + gap in m)
-                if sums <= sums_max:
-                    lyndon = p if gap == lo else depth + 1
-                    stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
-            continue
-        # A prefix t of k - 2 gaps picks its final pair (gap, end).
-        if hi < lo:
-            continue
-        key = (remaining, lo, hi, exact - in_m)
-        gaps = table.get(key)
-        if gaps is None:
-            need = key[3]
-            gaps = (g for g in range(lo, hi + 1) if (g in m) + (remaining - g in m) == need)
-            if hi - lo < _TABLE_RANGE:
-                gaps = list(gaps)
-                if len(table) < _TABLE_KEYS:
-                    table[key] = gaps
-        # t + (gap, end) is its least rotation iff end extends the
-        # prenecklace t + (gap,) and k is a multiple of the new p: at
-        # gap = lo p stays; above it p = k - 1, and end >= first = t[0]
-        # with equality only at gap = hi (for k = 2, first = -total).
-        back, first = (t + (lo,))[last - p], t[0] if t else -total
-        sums_in_m += remaining in m
-        for gap in gaps:
-            end = remaining - gap
-            if end == first if gap > lo else end < back or (end == back and k % p):
+        short = exact - (last - depth)
+        push = depth < k - 3
+        for gap in range(hi, lo - 1, -1) if push else range(lo, hi + 1):
+            count = in_m + (gap in m)
+            if count > exact or count < short:
                 continue
-            sums = sums_in_m + (prev + gap in m) + (end + first in m)
-            if sums <= sums_max:
-                yield t + (gap, end), sums
+            sums = sums_in_m + (prev + gap in m)
+            if sums > sums_max:
+                continue
+            q = p if gap == lo else depth + 1  # the child's Lyndon prefix
+            if push:
+                stack.append((t + (gap,), remaining - gap, count, sums, q))
+                continue
+            # A prefix of k - 3 gaps walks its children c in ascending order and
+            # finishes each here: c picks its final pair (gap2, end).
+            c, rest = t + (gap,), remaining - gap
+            first = c[0]
+            lo2, hi2 = c[depth + 1 - q], rest - first
+            if hi2 < lo2:
+                continue
+            key = (rest, lo2, hi2, exact - count)
+            gaps = table.get(key)
+            if gaps is None:
+                gaps = (g for g in range(lo2, hi2 + 1) if (g in m) + (rest - g in m) == key[3])
+                if hi2 - lo2 < _TABLE_RANGE:
+                    gaps = list(gaps)
+                    if len(table) < _TABLE_KEYS:
+                        table[key] = gaps
+            # c + (gap2, end) is its least rotation iff end extends the prenecklace
+            # c + (gap2,) and k is a multiple of the new p: at gap2 = lo2 p stays q;
+            # above it p = k - 1, and end >= first with equality only at gap2 = hi2.
+            back = c[last - q] if q > 1 else lo2
+            sums += rest in m
+            for gap2 in gaps:
+                end = rest - gap2
+                if end == first if gap2 > lo2 else end < back or (end == back and k % q):
+                    continue
+                sums2 = sums + (gap + gap2 in m) + (end + first in m)
+                if sums2 <= sums_max:
+                    yield c + (gap2, end), sums2
 
 
 def enumerate_sequences(

@@ -8,8 +8,13 @@
   the benchmark's six parameter sets, every k <= 6, total <= 24 at degrees 3
   and 4 (again with the final-pair table cut to 2 gaps and 8 keys), and
   k <= 3 at totals 130 to 300 and k = 4 at total 130, past the table's 64
-  gaps.  A k = 2 census of 2**14 classes, and a k = 4 census with the table
-  cut to 8 keys, are held under tracemalloc bounds.
+  gaps.  A k = 2 census of 2**14 classes, 2**14 classes of a k = 3 census
+  from one unlisted final-pair range, and a k = 4 census with the table cut
+  to 8 keys, are held under tracemalloc bounds.
+- The prenecklace generator's stream (gaps, sums, and sums as ints) is
+  compared with a copy of its previous form, which kept a stack entry per
+  prefix of k - 2 gaps, on the same ranges widened to degrees 2 to 5, k <= 7
+  and total <= 28, at every filter.
 - Periodic classes such as (2, 3, 2, 3) are checked to appear once.
 - CyclicSequence's accepted inputs (any iterable of positive ints, bools
   included, stored as a tuple) and its error messages are pinned.
@@ -58,6 +63,17 @@ SIX_PART_28 = [
     (4, 4, 5, 5, 5, 5),
     (4, 5, 4, 5, 5, 5),
     (4, 5, 5, 4, 5, 5),
+]
+
+# The census workload's six parameter sets (k, total, exact, adjacent
+# maximum) and their class counts.
+BENCHMARK_CENSUS = [
+    ((6, 40, 2, 1), 9_428),
+    ((6, 36, 2, 1), 2_601),
+    ((6, 32, 1, 1), 22),
+    ((5, 40, 1, 0), 1_302),
+    ((5, 36, 2, 1), 3_284),
+    ((5, 30, 2, 2), 910),
 ]
 
 
@@ -245,14 +261,8 @@ def reference_enumerate(k, total, parts_in_m_exact, adjacent_sums_in_m_max, delt
 
 @pytest.mark.parametrize(
     "params,count",
-    [
-        pytest.param((6, 40, 2, 1), 9_428, id="6-40-2-1"),
-        pytest.param((6, 36, 2, 1), 2_601, id="6-36-2-1"),
-        pytest.param((6, 32, 1, 1), 22, id="6-32-1-1"),
-        pytest.param((5, 40, 1, 0), 1_302, id="5-40-1-0"),
-        pytest.param((5, 36, 2, 1), 3_284, id="5-36-2-1"),
-        pytest.param((5, 30, 2, 2), 910, id="5-30-2-2"),
-    ],
+    BENCHMARK_CENSUS,
+    ids=["-".join(map(str, params)) for params, _ in BENCHMARK_CENSUS],
 )
 def test_enumerate_matches_reference_on_the_benchmark_census(params, count):
     # 17,547 classes in all: the census workload's six parameter sets.
@@ -285,17 +295,114 @@ def test_enumerate_matches_reference_on_small_parameters(monkeypatch):
                     cut.setattr(sequences, "_TABLE_RANGE", 2)
                     cut.setattr(sequences, "_TABLE_KEYS", 8)
                     assert enumerate_sequences(k, total, exact, k, delta) == loosest
-    # One k = 2 census whose single range, 2**14 gaps, is walked unlisted:
-    # no candidate list is built, so its traced peak stays far below the
-    # 2**14 ints such a list would hold.
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in sequences._census(2, 2**15, 0, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 2**14 - 6  # every gap below 2**14 but the six in m_4
-    assert peak < 32 * 1024, peak
+    # Two censuses whose candidate ranges are walked without being listed, so
+    # their traced peaks stay far below the 2**14 ints such a list would hold:
+    # the k = 2 closed form's single range, which keeps every gap up to 2**14
+    # but the six in m_4, and at k = 3 the first 2**14 classes, all from the
+    # first gap 5 (1 to 4 lie in m_4), whose final-pair range of about 2**15
+    # gaps passes _TABLE_RANGE.
+    for args, stop, expected in (
+        ((2, 2**15, 0, 0), None, (2**14 - 6, (2**14, 2**14))),
+        ((3, 2**15, 0, 0), 2**14, (2**14, (5, 2**14 + 6, 2**14 - 11))),
+    ):
+        tracemalloc.start()
+        try:
+            count = last = 0
+            for count, (last, _) in enumerate(itertools.islice(sequences._census(*args), stop), 1):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, last) == expected, args
+        assert peak < 32 * 1024, (args, peak)
+
+
+def reference_least_rotations(k, total, m, exact, sums_max):
+    # The generator before each prefix of k - 3 gaps finished its children
+    # in the loop that accepts them: here every prefix of k - 2 gaps is a
+    # stack entry that picks its final pair from the table when popped, and
+    # k = 2 runs through the same path.  Its table has the library's bounds.
+    if k == 1:
+        if (total in m) == exact:
+            yield (total,), 0
+        return
+    last = k - 1
+    table = {}
+    stack = [((), total, 0, 0, 1)]
+    while stack:
+        t, remaining, in_m, sums_in_m, p = stack.pop()
+        depth = len(t)
+        if depth:
+            lo, hi, prev = t[depth - p], remaining - (last - depth) * t[0], t[-1]
+        else:
+            lo, hi, prev = 1, total // k, -total
+        if depth < last - 1:
+            short = exact - (last - depth)
+            for gap in range(hi, lo - 1, -1):
+                count = in_m + (gap in m)
+                if count > exact or count < short:
+                    continue
+                sums = sums_in_m + (prev + gap in m)
+                if sums <= sums_max:
+                    lyndon = p if gap == lo else depth + 1
+                    stack.append((t + (gap,), remaining - gap, count, sums, lyndon))
+            continue
+        if hi < lo:
+            continue
+        key = (remaining, lo, hi, exact - in_m)
+        gaps = table.get(key)
+        if gaps is None:
+            need = key[3]
+            gaps = (g for g in range(lo, hi + 1) if (g in m) + (remaining - g in m) == need)
+            if hi - lo < 64:
+                gaps = list(gaps)
+                if len(table) < 4096:
+                    table[key] = gaps
+        back, first = (t + (lo,))[last - p], t[0] if t else -total
+        sums_in_m += remaining in m
+        for gap in gaps:
+            end = remaining - gap
+            if end == first if gap > lo else end < back or (end == back and k % p):
+                continue
+            sums = sums_in_m + (prev + gap in m) + (end + first in m)
+            if sums <= sums_max:
+                yield t + (gap, end), sums
+
+
+def assert_same_stream(k, total, m, exact, loosest):
+    # The generator at every adjacent maximum against the reference's stream
+    # at the loosest one, filtered: gaps, sums and their type, in order.
+    for adj in range(k + 1):
+        got = list(sequences._least_rotations(k, total, m, exact, adj))
+        assert got == [(g, s) for g, s in loosest if s <= adj], (k, total, exact, adj)
+        assert all(type(s) is int for _, s in got), (k, total, exact, adj)
+
+
+def test_least_rotations_match_the_reference_generator(monkeypatch):
+    # Every exact count and adjacent maximum at degrees 2 to 5, k <= 7 and
+    # total <= 28 (again, at the loosest adjacent maximum, with the table cut
+    # to ranges of 2 gaps and 8 keys, so it fills and overflows); k <= 3 at
+    # totals 130, 200 and 300, degrees 3 to 6, and k = 4 at total 130,
+    # degree 4, where ranges pass _TABLE_RANGE; and the benchmark's six
+    # parameter sets at their filters.
+    small = [(d, k, total) for d in (2, 3, 4, 5) for k in range(1, 8) for total in range(k, 29)]
+    long = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
+    long.append((4, 4, 130))
+    for delta, k, total in small + long:
+        m = m_delta(delta)
+        for exact in range(k + 1):
+            loosest = list(reference_least_rotations(k, total, m, exact, k))
+            assert_same_stream(k, total, m, exact, loosest)
+            if total <= 28:
+                with monkeypatch.context() as cut:
+                    cut.setattr(sequences, "_TABLE_RANGE", 2)
+                    cut.setattr(sequences, "_TABLE_KEYS", 8)
+                    assert list(sequences._least_rotations(k, total, m, exact, k)) == loosest
+    m = m_delta(4)
+    for (k, total, exact, adj), count in BENCHMARK_CENSUS:
+        got = list(sequences._least_rotations(k, total, m, exact, adj))
+        assert len(got) == count and all(type(s) is int for _, s in got)
+        assert got == list(reference_least_rotations(k, total, m, exact, adj))
 
 
 def test_final_pair_table_stops_at_its_key_cap(monkeypatch):
@@ -371,6 +478,16 @@ def test_enumerate_edge_cases():
     assert single[0].adjacent_sums_in_m == 0
     small = enumerate_sequences(2, 5, 2, 1)
     assert [c.canonical.gaps for c in small] == [(1, 4), (2, 3)]
+
+
+def test_enumerate_reports_adjacent_sums_as_ints():
+    # SequenceClass equality treats True as 1, so only the repr shows a
+    # k = 2 sum that is a bool: total 6 is in m_4, and both classes have it.
+    assert repr(enumerate_sequences(2, 6, 2, 1)) == (
+        "[SequenceClass(canonical=CyclicSequence(gaps=(2, 4), half=6), parts_in_m=2,"
+        " adjacent_sums_in_m=1), SequenceClass(canonical=CyclicSequence(gaps=(3, 3),"
+        " half=6), parts_in_m=2, adjacent_sums_in_m=1)]"
+    )
 
 
 @pytest.mark.parametrize(

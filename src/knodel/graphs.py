@@ -159,11 +159,6 @@ class KnodelGraph(_Record):
         """Size n/2 of each bipartition class."""
         return self.n // 2
 
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Adjacency offsets, _offsets(delta)."""
-        return _offsets(self.delta)
-
     def check_vertex(self, x: Vertex) -> None:
         """Raise ValueError unless x is a vertex of this graph."""
         if not isinstance(x, Vertex):
@@ -213,8 +208,9 @@ class KnodelGraph(_Record):
         and the doubled u-half on V."""
         half, delta = self.half, self.delta
         steps = tuple((1 << delta - 2 - k, 1 << k) for k in range(delta - 1))
-        shifts = tuple((off, half - off) for off in self.offsets)
-        return half, self.u_mask, self.offsets[-1], steps, shifts
+        offsets = _offsets(delta)
+        shifts = tuple((off, half - off) for off in offsets)
+        return half, self.u_mask, offsets[-1], steps, shifts
 
     def closed_cover(self, mask: int) -> int:
         """Closed neighbourhood of a slot bitmask, as a slot bitmask.

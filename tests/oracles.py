@@ -1,5 +1,6 @@
-"""Independent oracles the tests check the package against, and the helpers
-that build their inputs: hypothesis graphs and fresh search nodes."""
+"""Independent oracles the tests check the package against, the helpers
+that build their inputs (hypothesis graphs and fresh search nodes), and the
+census workload's parameter sets."""
 
 from __future__ import annotations
 
@@ -10,6 +11,17 @@ from hypothesis import strategies as st
 from knodel import KnodelGraph, SolveResult, VertexSet, build_graph
 from knodel.domination import _slots_mask
 from knodel.solver import _Search, _without
+
+# The census workload's six parameter sets (k, total, exact, adjacent
+# maximum) and their class counts.
+BENCHMARK_CENSUS = [
+    ((6, 40, 2, 1), 9_428),
+    ((6, 36, 2, 1), 2_601),
+    ((6, 32, 1, 1), 22),
+    ((5, 40, 1, 0), 1_302),
+    ((5, 36, 2, 1), 3_284),
+    ((5, 30, 2, 2), 910),
+]
 
 
 def brute_force_min(g: KnodelGraph, max_size: int) -> SolveResult | None:

@@ -64,6 +64,7 @@ from knodel.cli import (
 )
 from knodel.domination import VertexSet
 from knodel.graphs import neighbors
+from oracles import BENCHMARK_CENSUS
 
 
 def run(capsys, *argv):
@@ -471,10 +472,6 @@ def test_enum_seq_streams_more_than_one_batch(capsys):
     assert run(capsys, *argv, "--expect", "4993") == (1, expected + "count 4994\n", "")
 
 
-CENSUS_SETS = [(6, 40, 2, 1), (6, 36, 2, 1), (6, 32, 1, 1), (5, 40, 1, 0), (5, 36, 2, 1),
-               (5, 30, 2, 2)]
-
-
 def enum_seq_stdout(k, total, exact, adj, delta=4, expect=None):
     argv = ["enum-seq", "--k", str(k), "--total", str(total), "--exact-in-m", str(exact),
             "--adj-max", str(adj), "--delta", str(delta)]
@@ -506,9 +503,8 @@ def test_enum_seq_prints_what_enumerate_sequences_returns():
                         got = enum_seq_stdout(k, total, exact, adj, delta)
                         assert got == (0, census_text(kept)), (k, total, exact, adj, delta)
     # An --expect mismatch still prints the whole census, then exits 1.
-    for params in CENSUS_SETS:
-        classes = enumerate_sequences(*params)
-        expected, count = census_text(classes), len(classes)
+    for params, count in BENCHMARK_CENSUS:
+        expected = census_text(enumerate_sequences(*params))
         assert enum_seq_stdout(*params) == (0, expected), params
         assert enum_seq_stdout(*params, expect=count) == (0, expected), params
         assert enum_seq_stdout(*params, expect=count + 1) == (1, expected), params

@@ -67,9 +67,9 @@ def test_from_indices_inverts_u_and_v_indices(g, data):
     assert VertexSet.from_indices(g, s.u_indices, s.v_indices) == s
 
 
-def per_bit_positions(mask, base=0):
-    # Reference: the per-bit scan _positions replaced, numbered from base.
-    return [i + base for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+def per_bit_positions(mask):
+    # Reference: the per-bit scan _positions replaced, numbered from 0.
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
 
 
 def per_slot_mask(n, slots, base=0):
@@ -93,9 +93,10 @@ def test_positions_and_slots_mask_match_the_per_bit_references(n):
     if n < 2**12:  # the per-bit references take seconds near 2**21
         masks += [1, (1 << n) - 1, (1 << n) - 2, rng.getrandbits(n), rng.getrandbits(n) & sparse]
     for mask in masks:
+        expected = per_bit_positions(mask)
         for base in (0, 1):
             positions = _positions(mask, base)
-            assert positions == per_bit_positions(mask, base)
+            assert positions == [i + base for i in expected]
             assert _slots_mask(n, positions, base=base) == mask
             shuffled = positions + positions[: len(positions) // 2]
             rng.shuffle(shuffled)
@@ -117,8 +118,9 @@ def test_positions_match_the_reference_on_both_sides_of_the_sparse_threshold(n):
             sparse += 1
         else:
             dense += 1
+        expected = per_bit_positions(mask)
         for base in (0, 1):
-            assert _positions(mask, base) == per_bit_positions(mask, base)
+            assert _positions(mask, base) == [i + base for i in expected]
     assert sparse >= 3 and dense >= 2
 
 

@@ -1,20 +1,27 @@
 """The gap-sequence calculus and its census, against the simple code it replaced.
 
-- The census is compared with an itertools brute force over every
-  composition, whole SequenceClass lists in order, at degrees 2 to 5, and
-  on three parameter sets with a filter over raw itertools tuples.
-- It is also compared, whole lists in order, with a copy of the generator it
-  replaced (a rotation check on each full sequence).  The comparison covers
-  the benchmark's six parameter sets, every k <= 6, total <= 24 at degrees 3
-  and 4 (again with the final-pair table cut to 2 gaps and 8 keys), and
-  k <= 3 at totals 130 to 300 and k = 4 at total 130, past the table's 64
-  gaps.  A k = 2 census of 2**14 classes, 2**14 classes of a k = 3 census
-  from one unlisted final-pair range, and a k = 4 census with the table cut
-  to 8 keys, are held under tracemalloc bounds.
-- The prenecklace generator's stream (gaps, sums, and sums as ints) is
-  compared with a copy of its previous form, which kept a stack entry per
-  prefix of k - 2 gaps, on the same ranges widened to degrees 2 to 5, k <= 7
-  and total <= 28, at every filter.
+- The census is checked along a chain of ever simpler generators: the
+  library's _census against reference_least_rotations, a copy of the
+  prenecklace generator before each prefix of k - 3 gaps finished its
+  children in place, and that copy against reference_enumerate, the
+  rotation check on each full sequence that it replaced.  One pass runs
+  _census once per case (k, total, exact count, adjacent maximum, degree),
+  every count and maximum, and compares its stream (gaps, sums and their
+  type, in order) with the copy's at the loosest maximum, filtered:
+  - degrees 2 to 5, k <= 7 and total <= 28, where each loosest census also
+    runs with the final-pair table cut to ranges of 2 gaps and 8 keys;
+  - degrees 3 to 6, k <= 3 at totals 130, 200 and 300, and degree 4, k = 4
+    at total 130, past the table's 64 gaps.
+  A second test runs the copy against the rotation check at degrees 3 and
+  4, k <= 6 and total <= 24, and on those long ranges.
+- enumerate_sequences is compared, whole SequenceClass lists in order, with
+  an itertools brute force over every composition at degrees 2 to 5,
+  k <= 6 and total <= 19, on three degree-4 parameter sets with a filter
+  over raw itertools tuples, and with the rotation check on the benchmark's
+  six parameter sets.
+- A k = 2 census of 2**14 classes, 2**14 classes of a k = 3 census from one
+  unlisted final-pair range, and a k = 4 census with the table cut to 8
+  keys, are held under tracemalloc bounds.
 - Periodic classes such as (2, 3, 2, 3) are checked to appear once.
 - CyclicSequence's accepted inputs (any iterable of positive ints, bools
   included, stored as a tuple) and its error messages are pinned.
@@ -40,6 +47,7 @@ from knodel import (
     u,
 )
 from knodel import sequences
+from oracles import BENCHMARK_CENSUS
 
 THREE_PART_13 = [(1, 4, 8), (1, 8, 4), (2, 3, 8), (2, 8, 3), (4, 4, 5)]
 FOUR_PART_19_ONE = [(1, 5, 5, 8), (1, 8, 5, 5), (4, 5, 5, 5)]
@@ -63,17 +71,6 @@ SIX_PART_28 = [
     (4, 4, 5, 5, 5, 5),
     (4, 5, 4, 5, 5, 5),
     (4, 5, 5, 4, 5, 5),
-]
-
-# The census workload's six parameter sets (k, total, exact, adjacent
-# maximum) and their class counts.
-BENCHMARK_CENSUS = [
-    ((6, 40, 2, 1), 9_428),
-    ((6, 36, 2, 1), 2_601),
-    ((6, 32, 1, 1), 22),
-    ((5, 40, 1, 0), 1_302),
-    ((5, 36, 2, 1), 3_284),
-    ((5, 30, 2, 2), 910),
 ]
 
 
@@ -218,7 +215,7 @@ def test_enumerate_matches_brute_force_census():
     # maximum in 0..k; delta 2 has m_delta = {1}.
     for delta in (2, 3, 4, 5):
         for k in range(1, 7):
-            for total in range(k, 19):
+            for total in range(k, 20):
                 census = brute_force_census(delta, k, total)
                 for exact in range(k + 1):
                     for adj in range(k + 1):
@@ -268,53 +265,15 @@ def test_enumerate_matches_reference_on_the_benchmark_census(params, count):
     # 17,547 classes in all: the census workload's six parameter sets.
     got = enumerate_sequences(*params)
     assert len(got) == count
+    assert all(type(c.adjacent_sums_in_m) is int for c in got)
     assert got == reference_enumerate(*params)
 
 
-def test_enumerate_matches_reference_on_small_parameters(monkeypatch):
-    # Whole lists, in order, for every k <= 6, total <= 24 and filter in 0..k
-    # at degrees 3 and 4, for k <= 3 at totals 130, 200 and 300, degrees 3 to
-    # 6, and for k = 4 at total 130, degree 4, where final-pair ranges pass
-    # the table's 64 gaps below prefixes of every depth.  The small
-    # censuses run again, at the loosest adjacent maximum, with the table cut
-    # to ranges of 2 gaps and 8 keys, so they fill it and overflow it too.
-    # The reference runs once per exact count, at the loosest adjacent
-    # maximum, and its classes are filtered for each tighter maximum.
-    small = [(d, k, total) for d in (3, 4) for k in range(1, 7) for total in range(k, 25)]
-    long = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
-    long.append((4, 4, 130))
-    for delta, k, total in small + long:
-        for exact in range(k + 1):
-            loosest = reference_enumerate(k, total, exact, k, delta)
-            for adj in range(k + 1):
-                got = enumerate_sequences(k, total, exact, adj, delta)
-                expected = [c for c in loosest if c.adjacent_sums_in_m <= adj]
-                assert got == expected, (delta, k, total, exact, adj)
-            if total <= 24:
-                with monkeypatch.context() as cut:
-                    cut.setattr(sequences, "_TABLE_RANGE", 2)
-                    cut.setattr(sequences, "_TABLE_KEYS", 8)
-                    assert enumerate_sequences(k, total, exact, k, delta) == loosest
-    # Two censuses whose candidate ranges are walked without being listed, so
-    # their traced peaks stay far below the 2**14 ints such a list would hold:
-    # the k = 2 closed form's single range, which keeps every gap up to 2**14
-    # but the six in m_4, and at k = 3 the first 2**14 classes, all from the
-    # first gap 5 (1 to 4 lie in m_4), whose final-pair range of about 2**15
-    # gaps passes _TABLE_RANGE.
-    for args, stop, expected in (
-        ((2, 2**15, 0, 0), None, (2**14 - 6, (2**14, 2**14))),
-        ((3, 2**15, 0, 0), 2**14, (2**14, (5, 2**14 + 6, 2**14 - 11))),
-    ):
-        tracemalloc.start()
-        try:
-            count = last = 0
-            for count, (last, _) in enumerate(itertools.islice(sequences._census(*args), stop), 1):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (count, last) == expected, args
-        assert peak < 32 * 1024, (args, peak)
+# The census grids: degrees 2 to 5 with k <= 7 and total <= 28, and the long
+# ranges, whose final-pair ranges pass the table's 64 gaps.
+SMALL = [(d, k, total) for d in (2, 3, 4, 5) for k in range(1, 8) for total in range(k, 29)]
+LONG = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
+LONG.append((4, 4, 130))
 
 
 def reference_least_rotations(k, total, m, exact, sums_max):
@@ -369,40 +328,67 @@ def reference_least_rotations(k, total, m, exact, sums_max):
                 yield t + (gap, end), sums
 
 
-def assert_same_stream(k, total, m, exact, loosest):
-    # The generator at every adjacent maximum against the reference's stream
-    # at the loosest one, filtered: gaps, sums and their type, in order.
-    for adj in range(k + 1):
-        got = list(sequences._least_rotations(k, total, m, exact, adj))
-        assert got == [(g, s) for g, s in loosest if s <= adj], (k, total, exact, adj)
-        assert all(type(s) is int for _, s in got), (k, total, exact, adj)
-
-
 def test_least_rotations_match_the_reference_generator(monkeypatch):
-    # Every exact count and adjacent maximum at degrees 2 to 5, k <= 7 and
-    # total <= 28 (again, at the loosest adjacent maximum, with the table cut
-    # to ranges of 2 gaps and 8 keys, so it fills and overflows); k <= 3 at
-    # totals 130, 200 and 300, degrees 3 to 6, and k = 4 at total 130,
-    # degree 4, where ranges pass _TABLE_RANGE; and the benchmark's six
-    # parameter sets at their filters.
-    small = [(d, k, total) for d in (2, 3, 4, 5) for k in range(1, 8) for total in range(k, 29)]
-    long = [(d, k, total) for d in range(3, 7) for k in (1, 2, 3) for total in (130, 200, 300)]
-    long.append((4, 4, 130))
-    for delta, k, total in small + long:
+    # One _census call per case, every exact count and adjacent maximum:
+    # degrees 2 to 5 with k <= 7 and total <= 28, and degrees 3 to 6 with
+    # k <= 3 at totals 130, 200 and 300 and degree 4 with k = 4 at total 130,
+    # where final-pair ranges pass _TABLE_RANGE below prefixes of every
+    # depth.  Each stream (gaps, sums and their type, in order) is the
+    # prenecklace copy's at the loosest adjacent maximum, filtered.  Up to
+    # total 28 the loosest census runs again with the table cut to ranges of
+    # 2 gaps and 8 keys, so it fills and overflows.
+    for delta, k, total in SMALL + LONG:
         m = m_delta(delta)
         for exact in range(k + 1):
             loosest = list(reference_least_rotations(k, total, m, exact, k))
-            assert_same_stream(k, total, m, exact, loosest)
+            for adj in range(k + 1):
+                got = list(sequences._census(k, total, exact, adj, delta))
+                expected = [(g, s) for g, s in loosest if s <= adj]
+                assert got == expected, (delta, k, total, exact, adj)
+                assert all(type(s) is int for _, s in got), (delta, k, total, exact, adj)
             if total <= 28:
                 with monkeypatch.context() as cut:
                     cut.setattr(sequences, "_TABLE_RANGE", 2)
                     cut.setattr(sequences, "_TABLE_KEYS", 8)
-                    assert list(sequences._least_rotations(k, total, m, exact, k)) == loosest
-    m = m_delta(4)
-    for (k, total, exact, adj), count in BENCHMARK_CENSUS:
-        got = list(sequences._least_rotations(k, total, m, exact, adj))
-        assert len(got) == count and all(type(s) is int for _, s in got)
-        assert got == list(reference_least_rotations(k, total, m, exact, adj))
+                    assert list(sequences._census(k, total, exact, k, delta)) == loosest
+
+
+def test_enumerate_matches_reference_on_small_parameters():
+    # The next link of the chain: the prenecklace copy against the rotation
+    # check, whole streams in order at the loosest adjacent maximum, for
+    # every exact count at degrees 3 and 4 with k <= 6 and total <= 24, and
+    # on the long ranges.
+    small = [(d, k, total) for d in (3, 4) for k in range(1, 7) for total in range(k, 25)]
+    for delta, k, total in small + LONG:
+        m = m_delta(delta)
+        for exact in range(k + 1):
+            loosest = reference_least_rotations(k, total, m, exact, k)
+            classes = reference_enumerate(k, total, exact, k, delta)
+            got = [(c.canonical.gaps, c.parts_in_m, c.adjacent_sums_in_m) for c in classes]
+            assert got == [(g, exact, s) for g, s in loosest], (delta, k, total, exact)
+
+
+def test_census_walks_long_ranges_without_listing_them():
+    # Two censuses whose candidate ranges are walked without being listed, so
+    # their traced peaks stay far below the 2**14 ints such a list would hold:
+    # the k = 2 closed form's single range, which keeps every gap up to 2**14
+    # but the six in m_4, and at k = 3 the first 2**14 classes, all from the
+    # first gap 5 (1 to 4 lie in m_4), whose final-pair range of about 2**15
+    # gaps passes _TABLE_RANGE.
+    for args, stop, expected in (
+        ((2, 2**15, 0, 0), None, (2**14 - 6, (2**14, 2**14))),
+        ((3, 2**15, 0, 0), 2**14, (2**14, (5, 2**14 + 6, 2**14 - 11))),
+    ):
+        tracemalloc.start()
+        try:
+            count = last = 0
+            for count, (last, _) in enumerate(itertools.islice(sequences._census(*args), stop), 1):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, last) == expected, args
+        assert peak < 32 * 1024, (args, peak)
 
 
 def test_final_pair_table_stops_at_its_key_cap(monkeypatch):
